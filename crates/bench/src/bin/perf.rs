@@ -45,8 +45,8 @@ use freeride_bench::{
     all_methods, chaos, default_threads, health, main_pipeline, traffic, BenchArgs, SweepRunner,
 };
 use freeride_core::{
-    run_colocation, Cluster, ClusterJob, ColocationRun, FastestFit, FreeRideConfig, LeastLoaded,
-    ProfileReport, SimTracer, Submission, SubmitOptions,
+    run_colocation, Cluster, ClusterBuilder, ClusterJob, ColocationRun, FastestFit, FreeRideConfig,
+    LeastLoaded, ProfileReport, SimTracer, Submission, SubmitOptions,
 };
 use freeride_gpu::HardwareSpec;
 use freeride_pipeline::{ModelSpec, PipelineConfig};
@@ -77,14 +77,17 @@ fn single_run(args: &BenchArgs) -> SingleRun {
     }
 }
 
-/// The standard 4-job cluster: one simulation hosting four training jobs.
-fn cluster_run_once(args: &BenchArgs) -> u64 {
+/// The standard 4-job cluster: one simulation hosting four training jobs
+/// (model rotation 3.6B/1.2B/6B, least-loaded placement), each job with a
+/// pinned PageRank and a freely placed image task. `builder` carries any
+/// observability switches.
+fn standard_cluster(args: &BenchArgs, builder: ClusterBuilder) -> Cluster {
     let model = |j: usize| match j % 3 {
         0 => ModelSpec::nanogpt_3_6b(),
         1 => ModelSpec::nanogpt_1_2b(),
         _ => ModelSpec::nanogpt_6b(),
     };
-    let mut builder = Cluster::builder().policy(LeastLoaded).cost_report(false);
+    let mut builder = builder.policy(LeastLoaded).cost_report(false);
     for j in 0..4 {
         let cfg = args.configure(FreeRideConfig::iterative());
         builder = builder.job(
@@ -104,7 +107,13 @@ fn cluster_run_once(args: &BenchArgs) -> u64 {
             SubmitOptions::new(),
         );
     }
-    cluster.run().events_processed
+    cluster
+}
+
+fn cluster_run_once(args: &BenchArgs) -> u64 {
+    standard_cluster(args, Cluster::builder())
+        .run()
+        .events_processed
 }
 
 /// The observability run: the same 4-job cluster with tracing and
@@ -113,38 +122,10 @@ fn cluster_run_once(args: &BenchArgs) -> u64 {
 /// cell), the attribution report, the trace summary line, and the
 /// Chrome-trace JSON destined for `trace.json`.
 fn obs_run(args: &BenchArgs) -> (SingleRun, ProfileReport, u64, String) {
-    let model = |j: usize| match j % 3 {
-        0 => ModelSpec::nanogpt_3_6b(),
-        1 => ModelSpec::nanogpt_1_2b(),
-        _ => ModelSpec::nanogpt_6b(),
-    };
     let run_once = || {
         let sink = SimTracer::shared();
-        let mut builder = Cluster::builder()
-            .policy(LeastLoaded)
-            .cost_report(false)
-            .trace(sink.clone())
-            .profile(true);
-        for j in 0..4 {
-            let cfg = args.configure(FreeRideConfig::iterative());
-            builder = builder.job(
-                ClusterJob::new(PipelineConfig::paper_default(model(j)).with_epochs(args.epochs))
-                    .config(cfg)
-                    .seed(0xC1_05_7E ^ (j as u64)),
-            );
-        }
-        let mut cluster = builder.build();
-        for j in 0..4 {
-            let _ = cluster.submit_with(
-                Submission::new(WorkloadKind::PageRank),
-                SubmitOptions::new().affinity(j),
-            );
-            let _ = cluster.submit_with(
-                Submission::new(WorkloadKind::ImageProc),
-                SubmitOptions::new(),
-            );
-        }
-        let report = cluster.run();
+        let builder = Cluster::builder().trace(sink.clone()).profile(true);
+        let report = standard_cluster(args, builder).run();
         (report, sink)
     };
     // One warm-up, then the measured run.

@@ -676,7 +676,7 @@ pub struct DeploymentReport {
     pub rejected: Vec<RejectedSubmission>,
     /// Fig. 9 accounting (FreeRide modes only; zero for baselines).
     pub breakdown: BubbleBreakdown,
-    /// SM-occupancy and memory traces per GPU.
+    /// Used-memory trace per GPU (`gpu{g}.mem`, GiB).
     pub trace: TraceRecorder,
     /// Bubble reports delivered to the manager.
     pub bubbles_reported: u64,

@@ -96,7 +96,7 @@ pub struct ColocationRun {
     pub rejected: Vec<RejectedSubmission>,
     /// Fig. 9 accounting (FreeRide modes only; zero for baselines).
     pub breakdown: BubbleBreakdown,
-    /// SM-occupancy and memory traces per GPU.
+    /// Used-memory trace per GPU (`gpu{g}.mem`, GiB).
     pub trace: TraceRecorder,
     /// Bubble reports delivered to the manager.
     pub bubbles_reported: u64,
@@ -244,6 +244,8 @@ struct JobRuntime {
     /// duplicates when late acknowledgements race the shutdown).
     stop_sent: BTreeSet<TaskId>,
     trace: TraceRecorder,
+    /// `gpu{g}.mem` per device, named once so recording does not format.
+    mem_series: Vec<String>,
     bubble_total: SimDuration,
     bubble_unused: SimDuration,
     bubbles_reported: u64,
@@ -383,10 +385,8 @@ impl JobRuntime {
     }
 
     fn record_device(&mut self, now: SimTime, g: usize) {
-        let occ = self.devices[g].occupancy();
         let mem = self.devices[g].used_mem().as_gib_f64();
-        self.trace.record(&format!("gpu{g}.sm"), now, occ);
-        self.trace.record(&format!("gpu{g}.mem"), now, mem);
+        self.trace.record(&self.mem_series[g], now, mem);
     }
 
     fn apply_engine_actions(
@@ -1756,14 +1756,12 @@ pub(crate) fn execute_cluster(
         let mut world_devices = devices;
         engine.init(&mut world_devices);
 
+        let mem_series: Vec<String> = (0..world_devices.len())
+            .map(|g| format!("gpu{g}.mem"))
+            .collect();
         let mut trace = TraceRecorder::new();
-        for (g, d) in world_devices.iter().enumerate() {
-            trace.record(&format!("gpu{g}.sm"), SimTime::ZERO, 0.0);
-            trace.record(
-                &format!("gpu{g}.mem"),
-                SimTime::ZERO,
-                d.used_mem().as_gib_f64(),
-            );
+        for (d, name) in world_devices.iter().zip(&mem_series) {
+            trace.record(name, SimTime::ZERO, d.used_mem().as_gib_f64());
         }
 
         let workers: Vec<Worker> = (0..pipeline_cfg.stages)
@@ -1811,6 +1809,7 @@ pub(crate) fn execute_cluster(
             late_rejected,
             stop_sent: BTreeSet::new(),
             trace,
+            mem_series,
             bubble_total: SimDuration::ZERO,
             bubble_unused: SimDuration::ZERO,
             bubbles_reported: 0,

@@ -40,6 +40,8 @@ struct RunnerWorld {
     devices: Vec<GpuDevice>,
     engine: PipelineEngine,
     trace: TraceRecorder,
+    /// `stage{g}.sm` per device, named once so recording does not format.
+    sm_series: Vec<String>,
     reports: Vec<BubbleReport>,
     tick_ids: Vec<Option<EventId>>,
 }
@@ -73,7 +75,7 @@ impl RunnerWorld {
 
     fn record_occupancy(&mut self, now: SimTime, g: usize) {
         let occ = self.devices[g].occupancy();
-        self.trace.record(&format!("stage{g}.sm"), now, occ);
+        self.trace.record(&self.sm_series[g], now, occ);
     }
 }
 
@@ -117,14 +119,15 @@ pub fn run_training(cfg: &PipelineConfig, kind: ScheduleKind) -> TrainingRun {
         .collect();
     engine.init(&mut devices);
 
+    let sm_series: Vec<String> = (0..cfg.stages).map(|s| format!("stage{s}.sm")).collect();
     let mut trace = TraceRecorder::new();
-    for s in 0..cfg.stages {
+    for (s, sm) in sm_series.iter().enumerate() {
         trace.record(
             &format!("stage{s}.mem.used"),
             SimTime::ZERO,
             cfg.stage_memory(s).as_gib_f64(),
         );
-        trace.record(&format!("stage{s}.sm"), SimTime::ZERO, 0.0);
+        trace.record(sm, SimTime::ZERO, 0.0);
     }
 
     let world = RunnerWorld {
@@ -132,6 +135,7 @@ pub fn run_training(cfg: &PipelineConfig, kind: ScheduleKind) -> TrainingRun {
         devices,
         engine,
         trace,
+        sm_series,
         reports: Vec::new(),
     };
     let mut sim = Simulation::new(world);

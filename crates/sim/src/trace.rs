@@ -5,6 +5,20 @@
 //! series, supports step-function semantics (a value holds until the next
 //! sample), and can resample onto a fixed grid for rendering or integrate a
 //! series over a window for utilisation accounting.
+//!
+//! Which series each producer records (`N` is a stage, `g` a GPU):
+//!
+//! - the standalone training runner (`freeride_pipeline::run_training`,
+//!   Fig. 1): `stageN.sm`, the SM occupancy, sampled after every op launch
+//!   and device tick; and `stageN.mem.used`, the training footprint in GiB,
+//!   one sample at time zero;
+//! - the cluster orchestrator (every co-location run, Fig. 8): `gpu{g}.mem`,
+//!   the device's used memory in GiB, sampled after every op launch, device
+//!   tick, worker command, grace check and straggler window on that GPU.
+//!   It records no occupancy series.
+//!
+//! Both producers resolve their series names once, when their world is
+//! built, so recording on the per-event path neither formats nor allocates.
 
 use crate::time::{SimDuration, SimTime};
 use serde::Serialize;
@@ -133,12 +147,16 @@ impl TraceRecorder {
     }
 
     /// Records `value` for `series` at `time`, creating the series on first
-    /// use.
+    /// use. Only that first use allocates the owned name.
     pub fn record(&mut self, series: &str, time: SimTime, value: f64) {
-        self.series
-            .entry(series.to_owned())
-            .or_default()
-            .record(time, value);
+        if let Some(s) = self.series.get_mut(series) {
+            s.record(time, value);
+        } else {
+            self.series
+                .entry(series.to_owned())
+                .or_default()
+                .record(time, value);
+        }
     }
 
     /// Looks up a series by name.
@@ -254,6 +272,25 @@ mod tests {
         assert!(r.series("nope").is_none());
         let names: Vec<&str> = r.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["gpu0.sm", "gpu1.sm"]);
+    }
+
+    #[test]
+    fn recording_into_an_existing_series_matches_a_lone_series() {
+        // The same samples through the recorder (first use inserts, later
+        // uses find the series) and straight into one `Series`.
+        let points = [(0, 1.0), (10, 2.0), (10, 3.0), (20, 3.0), (30, 0.5)];
+        let mut r = TraceRecorder::new();
+        let mut lone = Series::default();
+        for &(ms, v) in &points {
+            r.record("b", t(ms), v);
+            r.record("a", t(ms), -v);
+            lone.record(t(ms), v);
+        }
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.series("b").unwrap().samples(), lone.samples());
+        assert_eq!(r.series("b").unwrap().samples().len(), 3);
+        let names: Vec<&str> = r.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["a", "b"]);
     }
 
     #[test]

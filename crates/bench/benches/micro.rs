@@ -1,14 +1,16 @@
 //! Criterion micro-benchmarks of the reproduction's hot paths: the event
 //! queue, the GPU device fluid model, schedule construction, the manager's
-//! Algorithms 1 & 2, each real side-task step, and a full simulated
-//! training epoch with and without FreeRide.
+//! Algorithms 1 & 2, the seeded RNG's draw path, each real side-task step
+//! of the paper's mixed workload, and a full simulated training epoch with
+//! and without FreeRide.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use freeride_core::{run_colocation, FreeRideConfig, SideTaskManager, Submission, TaskId};
 use freeride_gpu::{GpuDevice, GpuId, KernelSpec, MemBytes, MpsPrioritized, Priority};
 use freeride_pipeline::{run_training, ModelSpec, PipelineConfig, Schedule, ScheduleKind};
 use freeride_sim::{DetRng, EventQueue, SimDuration, SimTime};
-use freeride_tasks::{CsrGraph, ImagePipeline, NnTraining, PageRank, WorkloadKind};
+use freeride_tasks::WorkloadKind;
+use rand::RngCore;
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("sim/event_queue push+pop 1k", |b| {
@@ -125,21 +127,38 @@ fn bench_manager(c: &mut Criterion) {
     });
 }
 
-fn bench_workload_steps(c: &mut Criterion) {
-    c.bench_function("tasks/nn train_step", |b| {
-        let mut nn = NnTraining::new(8, &[32, 16], 32, 1);
-        b.iter(|| black_box(nn.train_step()))
-    });
-    c.bench_function("tasks/pagerank step 1k nodes", |b| {
+fn bench_rng(c: &mut Criterion) {
+    // A thousand draws per iteration: one draw is shorter than the
+    // harness's own clock read.
+    c.bench_function("sim/detrng next_u64 x1000", |b| {
         let mut rng = DetRng::seed_from_u64(1);
-        let g = CsrGraph::power_law(1000, 4, &mut rng);
-        let mut pr = PageRank::new(g);
-        b.iter(|| black_box(pr.step()))
+        b.iter(|| {
+            let mut acc = 0u64;
+            for _ in 0..1000 {
+                acc = acc.wrapping_add(rng.next_u64());
+            }
+            black_box(acc)
+        })
     });
-    c.bench_function("tasks/image step 96x96", |b| {
-        let mut p = ImagePipeline::new(96, 96, 1);
-        b.iter(|| black_box(p.step()))
-    });
+}
+
+fn bench_workload_steps(c: &mut Criterion) {
+    // Built through `WorkloadKind::build`, so each bench steps exactly the
+    // computation a cluster side task of that kind runs: same sizes, same
+    // batch, same seeding.
+    for kind in [
+        WorkloadKind::PageRank,
+        WorkloadKind::ResNet18,
+        WorkloadKind::Vgg19,
+        WorkloadKind::ImageProc,
+    ] {
+        c.bench_function(&format!("tasks/{} step", kind.name()), |b| {
+            let mut task = kind.build(1);
+            task.create();
+            task.init_gpu();
+            b.iter(|| black_box(task.run_step()))
+        });
+    }
 }
 
 fn bench_end_to_end(c: &mut Criterion) {
@@ -187,6 +206,7 @@ criterion_group!(
     bench_device,
     bench_schedule,
     bench_manager,
+    bench_rng,
     bench_workload_steps,
     bench_end_to_end
 );

@@ -40,8 +40,8 @@ pub struct KernelSpec {
     /// Kernel-level contention intensity: how severely this kernel degrades
     /// *other* processes' kernels when co-running under MPS. `1.0` is a
     /// well-behaved kernel; Graph SGD-style atomic-heavy kernels are ≫ 1
-    /// (the paper's 231% MPS anomaly, §6.2). Calibrated per workload; see
-    /// `DESIGN.md` §5.
+    /// (the paper's 231% MPS anomaly, §6.2). Calibrated per workload by the
+    /// side-task profiles in `freeride-tasks`.
     pub intensity: f64,
     /// Free-form label used in traces and assertions (e.g. `"fp"`, `"bp"`,
     /// `"resnet18.step"`).

@@ -2,11 +2,11 @@
 //!
 //! The FreeRide paper evaluates on a server with four RTX 6000 Ada GPUs,
 //! CUDA MPS for memory caps and priority sharing, and Docker for process
-//! isolation. This crate is the stand-in for all of that (see `DESIGN.md`
-//! §1): passive, deterministic GPU devices that execute kernels under a
-//! pluggable interference model, enforce per-process MPS memory caps with
-//! OOM-kill semantics, and contain side-task processes in containers whose
-//! failure never touches the training job.
+//! isolation. This crate is the stand-in for all of that: passive,
+//! deterministic GPU devices that execute kernels under a pluggable
+//! interference model, enforce per-process MPS memory caps with OOM-kill
+//! semantics, and contain side-task processes in containers whose failure
+//! never touches the training job.
 //!
 //! The crate is *driver-agnostic*: devices never schedule simulation events
 //! themselves. A caller (the pipeline engine or the FreeRide middleware)

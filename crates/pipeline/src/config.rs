@@ -4,7 +4,7 @@
 //! DeepSpeed in a 4-stage pipeline on 48 GB GPUs, always maximising the
 //! micro-batch size (§6.1.3). We reproduce the three published
 //! configurations as presets whose timing and memory constants are
-//! calibrated to the paper's measurements (see `DESIGN.md` §5):
+//! calibrated to the paper's measurements:
 //!
 //! * bubble rate ≈ 42% at 4 micro-batches, dropping to ≈ 26% at 8;
 //! * bubble durations 0.22 s – 1.04 s for the 3.6B model;

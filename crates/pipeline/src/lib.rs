@@ -1,6 +1,6 @@
 //! # freeride-pipeline — pipeline-parallel training simulator
 //!
-//! The DeepSpeed stand-in of the FreeRide reproduction (`DESIGN.md` §1):
+//! The DeepSpeed stand-in of the FreeRide reproduction:
 //! a pipeline-parallel LLM-training engine with the paper's three model
 //! configurations (1.2B / 3.6B / 6B nanoGPT), DeepSpeed's 1F1B schedule
 //! plus GPipe, per-stage memory accounting, and — crucially — the same

@@ -5,11 +5,10 @@
 //! streams, and time-series trace capture.
 //!
 //! The paper's evaluation runs on real GPUs; this reproduction replaces the
-//! hardware with a simulated world driven by this engine (see `DESIGN.md`
-//! §1 for the substitution argument). Everything above this crate —
-//! simulated GPUs, the pipeline-training engine, the FreeRide middleware —
-//! is expressed as [`World`] event handlers, so an entire multi-GPU,
-//! multi-process evaluation replays bit-for-bit from a seed.
+//! hardware with a simulated world driven by this engine. Everything above
+//! this crate — simulated GPUs, the pipeline-training engine, the FreeRide
+//! middleware — is expressed as [`World`] event handlers, so an entire
+//! multi-GPU, multi-process evaluation replays bit-for-bit from a seed.
 //!
 //! ## Example
 //!

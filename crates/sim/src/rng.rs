@@ -48,6 +48,7 @@ impl DetRng {
     }
 
     /// Uniform f64 in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
@@ -57,6 +58,7 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    #[inline]
     pub fn gen_range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
         self.inner.gen_range(lo..hi)
@@ -67,6 +69,7 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn gen_index(&mut self, n: usize) -> usize {
         assert!(n > 0, "cannot index an empty range");
         self.inner.gen_range(0..n)
@@ -119,15 +122,19 @@ impl DetRng {
 }
 
 impl RngCore for DetRng {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         self.inner.next_u32()
     }
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
     }
+    #[inline]
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         self.inner.fill_bytes(dest)
     }
+    #[inline]
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
         self.inner.try_fill_bytes(dest)
     }

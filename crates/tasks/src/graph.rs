@@ -5,7 +5,7 @@
 //! §6.1.4) run over the Orkut social network — a 3M-node public snapshot
 //! unavailable offline. We substitute a synthetic graph with matching
 //! degree skew, generated by preferential attachment, which exercises the
-//! same CSR traversal and scatter/gather code paths (`DESIGN.md` §1).
+//! same CSR traversal and scatter/gather code paths.
 
 use freeride_sim::DetRng;
 
@@ -105,6 +105,8 @@ impl CsrGraph {
 pub struct PageRank {
     graph: CsrGraph,
     ranks: Vec<f64>,
+    /// Scratch for the next iterate, swapped with `ranks` every step.
+    next: Vec<f64>,
     damping: f64,
     iterations: u64,
     last_delta: f64,
@@ -117,6 +119,7 @@ impl PageRank {
         PageRank {
             graph,
             ranks: vec![1.0 / n as f64; n],
+            next: vec![0.0; n],
             damping: 0.85,
             iterations: 0,
             last_delta: f64::INFINITY,
@@ -126,16 +129,17 @@ impl PageRank {
     /// Runs one power iteration; returns the L1 change in the rank vector.
     pub fn step(&mut self) -> f64 {
         let n = self.graph.num_nodes();
-        let mut next = vec![(1.0 - self.damping) / n as f64; n];
+        let next = &mut self.next;
+        next.fill((1.0 - self.damping) / n as f64);
         let mut dangling = 0.0;
-        for u in 0..n {
-            let deg = self.graph.degree(u);
-            if deg == 0 {
-                dangling += self.ranks[u];
+        for (&rank, span) in self.ranks.iter().zip(self.graph.offsets.windows(2)) {
+            let out = &self.graph.targets[span[0]..span[1]];
+            if out.is_empty() {
+                dangling += rank;
                 continue;
             }
-            let share = self.damping * self.ranks[u] / deg as f64;
-            for &v in self.graph.neighbors(u) {
+            let share = self.damping * rank / out.len() as f64;
+            for &v in out {
                 next[v as usize] += share;
             }
         }
@@ -148,7 +152,7 @@ impl PageRank {
             .zip(&self.ranks)
             .map(|(a, b)| (a - b).abs())
             .sum();
-        self.ranks = next;
+        std::mem::swap(&mut self.ranks, &mut self.next);
         self.iterations += 1;
         self.last_delta = delta;
         delta

@@ -60,26 +60,37 @@ impl Image {
     pub fn resize(&self, new_w: usize, new_h: usize) -> Image {
         assert!(new_w > 0 && new_h > 0, "target must be non-empty");
         let mut out = Image::new(new_w, new_h);
+        // Source taps and weight of output coordinate `i` along an axis
+        // scaled by `s`. The saturating cast floors the non-negative
+        // coordinates and clamps the negative ones to 0, exactly as
+        // `floor().max(0.0)` would.
+        let taps = |i: usize, s: f64, len: usize| {
+            let f = (i as f64 + 0.5) * s - 0.5;
+            let lo = f as usize;
+            (lo, (lo + 1).min(len - 1), (f - lo as f64).clamp(0.0, 1.0))
+        };
         let sx = self.width as f64 / new_w as f64;
         let sy = self.height as f64 / new_h as f64;
-        for y in 0..new_h {
-            let fy = (y as f64 + 0.5) * sy - 0.5;
-            let y0 = fy.floor().max(0.0) as usize;
-            let y1 = (y0 + 1).min(self.height - 1);
-            let wy = (fy - y0 as f64).clamp(0.0, 1.0);
-            for x in 0..new_w {
-                let fx = (x as f64 + 0.5) * sx - 0.5;
-                let x0 = fx.floor().max(0.0) as usize;
-                let x1 = (x0 + 1).min(self.width - 1);
-                let wx = (fx - x0 as f64).clamp(0.0, 1.0);
-                for c in 0..3 {
-                    let tl = self.get(x0, y0, c) as f64;
-                    let tr = self.get(x1, y0, c) as f64;
-                    let bl = self.get(x0, y1, c) as f64;
-                    let br = self.get(x1, y1, c) as f64;
+        let columns: Vec<(usize, usize, f64)> = (0..new_w)
+            .map(|x| {
+                let (x0, x1, wx) = taps(x, sx, self.width);
+                (3 * x0, 3 * x1, wx)
+            })
+            .collect();
+        let row_len = 3 * self.width;
+        for (y, out_row) in out.pixels.chunks_exact_mut(3 * new_w).enumerate() {
+            let (y0, y1, wy) = taps(y, sy, self.height);
+            let top_row = &self.pixels[y0 * row_len..][..row_len];
+            let bottom_row = &self.pixels[y1 * row_len..][..row_len];
+            for (px, &(x0, x1, wx)) in out_row.chunks_exact_mut(3).zip(&columns) {
+                for (c, v) in px.iter_mut().enumerate() {
+                    let tl = top_row[x0 + c] as f64;
+                    let tr = top_row[x1 + c] as f64;
+                    let bl = bottom_row[x0 + c] as f64;
+                    let br = bottom_row[x1 + c] as f64;
                     let top = tl + (tr - tl) * wx;
                     let bottom = bl + (br - bl) * wx;
-                    out.set(x, y, c, (top + (bottom - top) * wy).round() as u8);
+                    *v = round_u8(top + (bottom - top) * wy);
                 }
             }
         }
@@ -100,7 +111,7 @@ impl Image {
                         ox + x,
                         oy + y,
                         c,
-                        (base * (1.0 - alpha) + wm * alpha).round() as u8,
+                        round_u8(base * (1.0 - alpha) + wm * alpha),
                     );
                 }
             }
@@ -111,6 +122,17 @@ impl Image {
     pub fn mean(&self) -> f64 {
         self.pixels.iter().map(|p| *p as f64).sum::<f64>() / self.pixels.len() as f64
     }
+}
+
+/// `v.round() as u8` for every `f64`, without the libm call `round`
+/// compiles to on baseline x86-64: `v - t` is exact for `t = v as u8`
+/// whenever `v` lies in `[t, t + 1)`, and the saturating casts handle
+/// negative, NaN and out-of-range values like `as u8` does.
+#[inline]
+fn round_u8(v: f64) -> u8 {
+    let t = v as u8;
+    // Branch-free: on random pixels the comparison is a coin toss.
+    t.saturating_add(u8::from(v - f64::from(t) >= 0.5))
 }
 
 /// The step-wise image pipeline: resize each incoming synthetic image to
@@ -126,7 +148,7 @@ pub struct ImagePipeline {
 impl ImagePipeline {
     /// Creates a pipeline processing `width × height` synthetic images.
     pub fn new(width: usize, height: usize, seed: u64) -> Self {
-        let mut rng = DetRng::seed_from_u64(seed);
+        let rng = DetRng::seed_from_u64(seed);
         let mut watermark = Image::new(width / 8, height / 8);
         // A diagonal stripe pattern — content irrelevant, determinism not.
         for y in 0..watermark.height() {
@@ -137,7 +159,6 @@ impl ImagePipeline {
                 }
             }
         }
-        let _ = &mut rng;
         ImagePipeline {
             rng,
             source_size: (width, height),
@@ -152,7 +173,7 @@ impl ImagePipeline {
         let (w, h) = self.source_size;
         let img = Image::synthetic(w, h, &mut self.rng);
         let mut resized = img.resize(w / 2, h / 2);
-        resized.watermark(&self.watermark.clone(), 0.4);
+        resized.watermark(&self.watermark, 0.4);
         self.processed += 1;
         self.last_mean = resized.mean();
         self.last_mean

@@ -12,7 +12,7 @@
 //!   middleware drives;
 //! * **Calibrated profiles** ([`WorkloadProfile`]) carrying each task's
 //!   GPU memory, per-step duration per platform, and interference
-//!   characteristics (`DESIGN.md` §5);
+//!   characteristics, calibrated to the paper's measurements;
 //! * A **workload factory** abstraction ([`WorkloadFactory`]) so custom
 //!   workloads — the paper's Fig. 6 porting exercise — are first-class
 //!   submission currency; [`WorkloadKind`] implements it, making the six

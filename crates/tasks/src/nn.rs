@@ -64,6 +64,18 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
+    /// Row `r` as a slice. Indexes rather than `chunks_exact`, which
+    /// panics on zero-width rows.
+    #[inline]
+    fn row(&self, r: usize) -> &[f64] {
+        &self.data[r * self.cols..][..self.cols]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..][..self.cols]
+    }
+
     /// Matrix product `self × rhs`.
     ///
     /// # Panics
@@ -73,14 +85,9 @@ impl Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out.data[i * rhs.cols + j] += a * rhs.get(k, j);
-                }
+            let out_row = out.row_mut(i);
+            for (k, &a) in self.row(i).iter().enumerate() {
+                add_scaled(out_row, a, rhs.row(k));
             }
         }
         out
@@ -106,6 +113,20 @@ impl Matrix {
     }
 }
 
+/// `out += a · row`, skipping `a == 0.0`: the one inner kernel of every
+/// product here. Each element of a product sums its terms in `k` order
+/// through this, with or without a transposed operand, so the skip and the
+/// summation order are the same on every path.
+#[inline]
+fn add_scaled(out: &mut [f64], a: f64, row: &[f64]) {
+    if a == 0.0 {
+        return;
+    }
+    for (o, &b) in out.iter_mut().zip(row) {
+        *o += a * b;
+    }
+}
+
 /// One fully connected layer with ReLU activation (identity on the output
 /// layer).
 struct Dense {
@@ -128,12 +149,12 @@ impl Dense {
         }
     }
 
-    fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.input = x.clone();
+    fn forward(&mut self, x: Matrix) -> Matrix {
         let mut z = x.matmul(&self.weights);
+        self.input = x;
         for i in 0..z.rows() {
-            for j in 0..z.cols() {
-                z.set(i, j, z.get(i, j) + self.bias[j]);
+            for (v, b) in z.row_mut(i).iter_mut().zip(&self.bias) {
+                *v += b;
             }
         }
         self.pre_activation = z.clone();
@@ -148,8 +169,9 @@ impl Dense {
     }
 
     /// Backpropagates `grad_out` (∂L/∂output) and applies SGD; returns
-    /// ∂L/∂input.
-    fn backward(&mut self, mut grad_out: Matrix, lr: f64) -> Matrix {
+    /// ∂L/∂input, or an empty matrix unless `propagate` (the first layer's
+    /// input gradient has no reader).
+    fn backward(&mut self, mut grad_out: Matrix, lr: f64, propagate: bool) -> Matrix {
         if self.relu {
             for (g, z) in grad_out.data.iter_mut().zip(&self.pre_activation.data) {
                 if *z <= 0.0 {
@@ -157,15 +179,29 @@ impl Dense {
                 }
             }
         }
-        let grad_w = self.input.transpose().matmul(&grad_out);
-        let grad_in = grad_out.matmul(&self.weights.transpose());
-        let batch = self.input.rows().max(1) as f64;
-        for j in 0..self.bias.len() {
-            let mut g = 0.0;
-            for i in 0..grad_out.rows() {
-                g += grad_out.get(i, j);
+        // grad_w = inputᵀ · grad_out, one batch row at a time: element
+        // (i, j) still sums its terms in batch order.
+        let mut grad_w = Matrix::zeros(self.weights.rows(), self.weights.cols());
+        for k in 0..self.input.rows() {
+            let g = grad_out.row(k);
+            for (i, &a) in self.input.row(k).iter().enumerate() {
+                add_scaled(grad_w.row_mut(i), a, g);
             }
-            self.bias[j] -= lr * g / batch;
+        }
+        let grad_in = if propagate {
+            grad_out.matmul(&self.weights.transpose())
+        } else {
+            Matrix::zeros(0, 0)
+        };
+        let batch = self.input.rows().max(1) as f64;
+        let mut grad_b = vec![0.0; self.bias.len()];
+        for i in 0..grad_out.rows() {
+            for (g, v) in grad_b.iter_mut().zip(grad_out.row(i)) {
+                *g += v;
+            }
+        }
+        for (b, g) in self.bias.iter_mut().zip(grad_b) {
+            *b -= lr * g / batch;
         }
         self.weights.sgd_step(&grad_w, lr / batch);
         grad_in
@@ -230,7 +266,7 @@ impl NnTraining {
         let (x, y) = self.sample_batch();
         let mut out = x;
         for layer in self.layers.iter_mut() {
-            out = layer.forward(&out);
+            out = layer.forward(out);
         }
         let n = y.len() as f64;
         let mut loss = 0.0;
@@ -242,8 +278,8 @@ impl NnTraining {
         }
         loss /= n;
         let mut g = grad;
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(g, self.lr);
+        for (l, layer) in self.layers.iter_mut().enumerate().rev() {
+            g = layer.backward(g, self.lr, l > 0);
         }
         self.steps += 1;
         self.last_loss = loss;

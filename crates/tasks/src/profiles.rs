@@ -3,7 +3,7 @@
 //! The FreeRide profiler (paper §4.3) measures two things per side task:
 //! GPU memory consumption and per-step duration. On real hardware those
 //! come from running the task; here they are calibration constants taken
-//! from the paper (`DESIGN.md` §5):
+//! from the paper:
 //!
 //! * **ResNet18**: 2.63 GB, 30.4 ms per iteration at batch 64 (§2.3);
 //! * the other workloads' step times and memory are set so Table 1's

@@ -11,7 +11,7 @@
 //! the output is identical for any thread count.
 
 use freeride_bench::{
-    all_methods, baseline_of, eval_method, header, main_pipeline, paper_table1, paper_table2,
+    all_methods, eval_method, header, main_pipeline, paper_table1, paper_table2,
     paper_table2_mixed, BenchArgs, SweepRunner,
 };
 use freeride_core::{run_baseline, run_colocation, FreeRideConfig, Submission};
@@ -115,7 +115,7 @@ fn table1(sweep: SweepRunner, args: &BenchArgs) {
 fn table2_and_figure9(sweep: SweepRunner, args: &BenchArgs) {
     header("Table 2: I / S per method (paper values in parentheses)  +  Figure 9 breakdown");
     let pipeline = main_pipeline(EPOCHS);
-    let baseline = baseline_of(&pipeline);
+    let baseline = run_baseline(&pipeline);
 
     // Per workload: one job per method cell plus the Figure 9 breakdown
     // run; plus the four mixed-workload cells. Everything fans out in a

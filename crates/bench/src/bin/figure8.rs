@@ -11,10 +11,10 @@
 
 #![forbid(unsafe_code)]
 
-use freeride_bench::{baseline_of, header, main_pipeline, BenchArgs};
+use freeride_bench::{header, main_pipeline, BenchArgs};
 use freeride_core::{
-    run_colocation, time_increase, ColocationRun, FreeRideConfig, Misbehavior, StopReason,
-    Submission,
+    run_baseline, run_colocation, time_increase, DeploymentReport, FreeRideConfig, Misbehavior,
+    StopReason, Submission,
 };
 use freeride_gpu::MemBytes;
 use freeride_sim::SimDuration;
@@ -23,7 +23,7 @@ use freeride_tasks::WorkloadKind;
 fn main() {
     let args = BenchArgs::parse();
     let pipeline = main_pipeline(6);
-    let baseline = baseline_of(&pipeline);
+    let baseline = run_baseline(&pipeline);
 
     // The three demonstration runs are independent simulations; fan them
     // out and print afterwards.
@@ -53,7 +53,7 @@ fn main() {
         }),
     );
 
-    let mut runs: Vec<ColocationRun> = args.sweep().run(vec![
+    let mut runs: Vec<DeploymentReport> = args.sweep().run(vec![
         job(no_limit, rogue()),
         job(FreeRideConfig::iterative(), rogue()),
         job(leak_cfg, leaky),

@@ -45,8 +45,8 @@ use freeride_bench::{
     all_methods, chaos, default_threads, health, main_pipeline, traffic, BenchArgs, SweepRunner,
 };
 use freeride_core::{
-    run_colocation, Cluster, ClusterBuilder, ClusterJob, ColocationRun, FastestFit, FreeRideConfig,
-    LeastLoaded, ProfileReport, SimTracer, Submission, SubmitOptions,
+    run_colocation, Cluster, ClusterBuilder, ClusterJob, DeploymentReport, FastestFit,
+    FreeRideConfig, LeastLoaded, ProfileReport, SimTracer, Submission, SubmitOptions,
 };
 use freeride_gpu::HardwareSpec;
 use freeride_pipeline::{ModelSpec, PipelineConfig};
@@ -282,9 +282,9 @@ fn chaos_perf(args: &BenchArgs) -> SingleRun {
 }
 
 /// The standard sweep: one closure per independent simulation.
-fn sweep_jobs(args: &BenchArgs) -> Vec<Box<dyn FnOnce() -> ColocationRun + Send>> {
+fn sweep_jobs(args: &BenchArgs) -> Vec<Box<dyn FnOnce() -> DeploymentReport + Send>> {
     let pipeline = main_pipeline(args.epochs);
-    let mut jobs: Vec<Box<dyn FnOnce() -> ColocationRun + Send>> = Vec::new();
+    let mut jobs: Vec<Box<dyn FnOnce() -> DeploymentReport + Send>> = Vec::new();
     for kind in WorkloadKind::ALL {
         let pipeline = pipeline.clone();
         let cfg = args.configure(FreeRideConfig::iterative());

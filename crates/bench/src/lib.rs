@@ -36,7 +36,7 @@ pub mod traffic;
 pub use sweep::{default_threads, SweepRunner};
 
 use freeride_core::{
-    evaluate, run_baseline, run_colocation, ColocationRun, CostReport, FreeRideConfig, Submission,
+    evaluate, run_colocation, CostReport, DeploymentReport, FreeRideConfig, Submission,
 };
 use freeride_pipeline::{ModelSpec, PipelineConfig};
 use freeride_sim::SimDuration;
@@ -157,13 +157,6 @@ impl BenchArgs {
     }
 }
 
-/// Parses `argv[1]` as an epoch count, defaulting to [`DEFAULT_EPOCHS`].
-///
-/// Thin compatibility wrapper over [`BenchArgs::parse`].
-pub fn epochs_from_args() -> usize {
-    BenchArgs::parse().epochs
-}
-
 /// The paper's main pipeline setup (3.6B, 4 stages, 4 micro-batches).
 pub fn main_pipeline(epochs: usize) -> PipelineConfig {
     PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(epochs)
@@ -176,7 +169,7 @@ pub struct EvalRow {
     /// The cost/overhead report.
     pub report: CostReport,
     /// The raw run.
-    pub run: ColocationRun,
+    pub run: DeploymentReport,
 }
 
 /// Runs one workload under one method and evaluates the paper's metrics.
@@ -220,11 +213,6 @@ pub fn vs_paper(measured: f64, paper: f64) -> String {
 pub fn header(title: &str) {
     println!();
     println!("=== {title} ===");
-}
-
-/// Convenience: baseline time for a pipeline config.
-pub fn baseline_of(pipeline: &PipelineConfig) -> SimDuration {
-    run_baseline(pipeline)
 }
 
 /// Paper-published Table 2 values `(I%, S%)` per method per workload, for
@@ -352,7 +340,7 @@ mod tests {
     #[test]
     fn eval_method_smoke() {
         let pipeline = main_pipeline(3);
-        let baseline = baseline_of(&pipeline);
+        let baseline = freeride_core::run_baseline(&pipeline);
         let row = eval_method(
             &pipeline,
             "FreeRide-Iterative",

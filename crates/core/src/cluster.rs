@@ -6,8 +6,8 @@
 //! [`PipelineConfig`], seed, and co-location mode, all jobs advance in one
 //! event loop over one shared RPC bus (job-qualified endpoint namespace,
 //! see [`freeride_rpc::job_scope`]), and side tasks enter through a single
-//! cluster-wide [`Cluster::submit`] that routes each submission to a job's
-//! workers via a pluggable [`PlacementPolicy`]:
+//! cluster-wide [`Cluster::submit_with`] that routes each submission to a
+//! job's workers via a pluggable [`PlacementPolicy`]:
 //!
 //! * [`FirstFit`] — first worker (scanning jobs in order) with enough
 //!   bubble memory;
@@ -17,24 +17,24 @@
 //!   compute speed, for heterogeneous fleets (see
 //!   [`freeride_gpu::HardwareSpec`]);
 //! * [`MinTasksJob`] — the cluster-level analogue of the paper's
-//!   Algorithm 1 (and the [`Deployment`](crate::Deployment) default):
-//!   pick the least-admitted job that can host the task and let that
-//!   job's manager choose the worker dynamically at arrival time.
+//!   Algorithm 1 (and the default): pick the least-admitted job that can
+//!   host the task and let that job's manager choose the worker
+//!   dynamically at arrival time.
 //!
-//! A submission that does not fit its preferred job **spills over** to any
-//! other job with room ([`Cluster::submit_to_job`]) instead of being
-//! rejected outright; only when *no* job can host it does the caller get
-//! [`SubmitError::InsufficientMemory`]. [`Cluster::run`] drives the whole
-//! fleet to completion and returns a [`ClusterReport`] aggregating one
-//! [`DeploymentReport`] per job plus cluster-level metrics.
+//! A submission that does not fit its preferred job
+//! ([`SubmitOptions::affinity`]) **spills over** to any other job with
+//! room instead of being rejected outright; only when *no* job can host it
+//! does the caller get [`SubmitError::InsufficientMemory`]. [`Cluster::run`]
+//! drives the whole fleet to completion and returns a [`ClusterReport`]
+//! aggregating one [`DeploymentReport`] per job plus cluster-level metrics.
 //!
-//! A one-job cluster is byte-identical to the pre-cluster single-job
-//! orchestrator — `Deployment` is now literally a thin wrapper over it.
+//! `Cluster` is the only way into the middleware: a single-job run is a
+//! one-job cluster, byte-identical to the pre-cluster single-job
+//! orchestrator ([`crate::run_colocation`] builds exactly that).
 
 use crate::config::{ColocationMode, FreeRideConfig, InterfaceKind};
 use crate::deployment::{
     assemble_report, AcceptedSubmission, DeploymentReport, RejectedSubmission, Submission,
-    TaskHandle,
 };
 use crate::fault::{FaultPlan, SubmitOptions};
 use crate::health::{HealthReport, HealthState, SupervisorConfig};
@@ -146,7 +146,7 @@ pub struct ClusterView {
 
 impl ClusterView {
     /// The jobs in index order. When a submission targets a preferred job
-    /// ([`Cluster::submit_to_job`]), the first `place` call sees a view
+    /// ([`SubmitOptions::affinity`]), the first `place` call sees a view
     /// restricted to that job — `JobView::job` still carries the true
     /// cluster index.
     pub fn jobs(&self) -> &[JobView] {
@@ -369,10 +369,10 @@ impl PlacementPolicy for FastestFit {
 }
 
 /// The cluster-level analogue of the paper's Algorithm 1 — and the
-/// default policy (it is what [`crate::Deployment`] wraps): route to the
-/// job with the fewest admitted submissions among jobs that can host the
-/// task, and leave worker selection to that job's manager, which applies
-/// the real Algorithm 1 *at arrival time* against live queue state.
+/// default policy: route to the job with the fewest admitted submissions
+/// among jobs that can host the task, and leave worker selection to that
+/// job's manager, which applies the real Algorithm 1 *at arrival time*
+/// against live queue state.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinTasksJob;
 
@@ -602,7 +602,7 @@ impl ClusterBuilder {
     /// site is a skipped branch.
     ///
     /// ```
-    /// use freeride_core::{Cluster, ClusterJob, Submission};
+    /// use freeride_core::{Cluster, ClusterJob, Submission, SubmitOptions};
     /// use freeride_obs::SimTracer;
     /// use freeride_pipeline::{ModelSpec, PipelineConfig};
     /// use freeride_tasks::WorkloadKind;
@@ -615,7 +615,9 @@ impl ClusterBuilder {
     ///     .trace(sink.clone())
     ///     .cost_report(false)
     ///     .build();
-    /// cluster.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
+    /// cluster
+    ///     .submit_with(Submission::new(WorkloadKind::PageRank), SubmitOptions::new())
+    ///     .unwrap();
     /// let report = cluster.run();
     /// let summary = report.trace_summary.as_ref().expect("tracing armed");
     /// assert!(summary.events > 0);
@@ -682,13 +684,17 @@ impl ClusterBuilder {
     }
 }
 
-/// Handle to a submission accepted by a cluster: the hosting job plus the
-/// per-task [`TaskHandle`], resolving to the task's outcome after
-/// [`Cluster::run`].
+/// Handle to a submission accepted by a cluster: the hosting job plus
+/// the task's outcome, which resolves after [`Cluster::run`].
+///
+/// Before the run (or if the task was ultimately rejected mid-run — see
+/// [`DeploymentReport::rejected`]) every outcome lookup returns `None`.
 #[derive(Debug, Clone)]
 pub struct ClusterTaskHandle {
     job: usize,
-    handle: TaskHandle,
+    id: TaskId,
+    tag: WorkloadTag,
+    outcome: Arc<OnceLock<TaskSummary>>,
     priority: Option<String>,
     admitted_at: SimTime,
 }
@@ -714,54 +720,44 @@ impl ClusterTaskHandle {
         self.admitted_at
     }
 
-    /// The underlying per-task handle.
-    pub fn handle(&self) -> &TaskHandle {
-        &self.handle
-    }
-
-    /// Unwraps into the plain [`TaskHandle`] (drops the job affinity).
-    pub fn into_task_handle(self) -> TaskHandle {
-        self.handle
-    }
-
     /// The id assigned at submission (unique cluster-wide).
     pub fn id(&self) -> TaskId {
-        self.handle.id()
+        self.id
     }
 
     /// Workload identity.
     pub fn tag(&self) -> &WorkloadTag {
-        self.handle.tag()
+        &self.tag
     }
 
     /// The full outcome, once the run finished.
     pub fn outcome(&self) -> Option<&TaskSummary> {
-        self.handle.outcome()
+        self.outcome.get()
     }
 
     /// Final life-cycle state.
     pub fn state(&self) -> Option<SideTaskState> {
-        self.handle.state()
+        self.outcome().map(|t| t.final_state)
     }
 
     /// Steps completed during bubbles.
     pub fn steps(&self) -> Option<u64> {
-        self.handle.steps()
+        self.outcome().map(|t| t.steps)
     }
 
     /// Why the task stopped.
     pub fn stop_reason(&self) -> Option<StopReason> {
-        self.handle.stop_reason()
+        self.outcome().map(|t| t.stop_reason)
     }
 
     /// The worker (stage) the task ran on within its job.
     pub fn worker(&self) -> Option<usize> {
-        self.handle.worker()
+        self.outcome().map(|t| t.worker)
     }
 
-    /// The workload's last progress metric.
+    /// The workload's last progress metric (loss, delta, estimate…).
     pub fn last_value(&self) -> Option<f64> {
-        self.handle.last_value()
+        self.outcome().and_then(|t| t.last_value)
     }
 }
 
@@ -896,46 +892,18 @@ impl Cluster {
         }
     }
 
-    /// Submits a side task to the cluster; the placement policy routes it
-    /// to a job's workers. Admission is checked immediately (a rejection
-    /// comes back typed, with the numbers that caused it, and is kept
-    /// whole in [`ClusterReport::rejected`]); placement within the job
-    /// happens in-run at the submission's arrival time.
-    ///
-    /// Prefer [`Cluster::submit_with`] — this is the thin historical
-    /// wrapper for `submit_with(submission, SubmitOptions::new())`.
-    pub fn submit(&mut self, submission: Submission) -> Result<ClusterTaskHandle, SubmitError> {
-        self.submit_with(submission, SubmitOptions::new())
-    }
-
-    /// Submits a side task with **job affinity**: the policy first sees
-    /// only `job`; when that job cannot host the task, the submission
-    /// **spills over** to the rest of the cluster instead of being
-    /// rejected — only a cluster-wide miss is an
-    /// [`SubmitError::InsufficientMemory`].
-    ///
-    /// Prefer [`Cluster::submit_with`] — this is the thin historical
-    /// wrapper for `submit_with(submission,
-    /// SubmitOptions::new().affinity(job))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `job` is out of range.
-    pub fn submit_to_job(
-        &mut self,
-        job: usize,
-        submission: Submission,
-    ) -> Result<ClusterTaskHandle, SubmitError> {
-        self.submit_with(submission, SubmitOptions::new().affinity(job))
-    }
-
-    /// The unified submission front door: drives `submission` through
-    /// the registered [`SubmitMiddleware`] chain (outermost layer first;
-    /// an empty chain short-circuits to the direct path, byte-identically)
+    /// The submission front door: drives `submission` through the
+    /// registered [`SubmitMiddleware`] chain (outermost layer first; an
+    /// empty chain short-circuits to the direct path, byte-identically)
     /// and routes it under `opts` — job affinity (with cluster-wide
     /// spillover), a [`crate::RetryPolicy`] for in-run admission, a
     /// tenant label and placement deadline for the service layer, and a
     /// priority tag carried into the returned handle.
+    ///
+    /// Admission is checked immediately: a rejection comes back typed,
+    /// with the numbers that caused it, and is kept whole in
+    /// [`ClusterReport::rejected`]. Placement within the job happens
+    /// in-run at the submission's arrival time.
     ///
     /// ```
     /// use freeride_core::{Cluster, ClusterJob, RetryPolicy, Submission, SubmitOptions};
@@ -960,18 +928,11 @@ impl Cluster {
     ///     .expect("fits");
     /// assert_eq!(handle.priority(), Some("batch"));
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.affinity` is out of range.
     pub fn submit_with(
         &mut self,
         submission: Submission,
         opts: SubmitOptions,
     ) -> Result<ClusterTaskHandle, SubmitError> {
-        if let Some(job) = opts.affinity {
-            assert!(job < self.jobs.len(), "job {job} out of range");
-        }
         if self.service.is_empty() {
             return self.route(submission, opts);
         }
@@ -982,8 +943,8 @@ impl Cluster {
     }
 
     /// The direct admission path at the center of the onion: allocate an
-    /// id, enforce the deadline, place via the policy, book the
-    /// acceptance (or the typed rejection).
+    /// id, check the affinity names a job and the deadline holds, place
+    /// via the policy, book the acceptance (or the typed rejection).
     pub(crate) fn route(
         &mut self,
         submission: Submission,
@@ -992,8 +953,10 @@ impl Cluster {
         let preferred = opts.affinity;
         let id = TaskId(self.next_id);
         self.next_id += 1;
-        let deadline_ok = match opts.deadline {
-            Some(deadline) if submission.arrival() > deadline => {
+        let jobs = self.jobs.len();
+        let checked = match (preferred, opts.deadline) {
+            (Some(job), _) if job >= jobs => Err(SubmitError::UnknownJob { job, jobs }),
+            (_, Some(deadline)) if submission.arrival() > deadline => {
                 Err(SubmitError::DeadlineExceeded {
                     deadline,
                     arrival: submission.arrival(),
@@ -1001,7 +964,7 @@ impl Cluster {
             }
             _ => Ok(()),
         };
-        let admitted = deadline_ok.and(submission.profile()).and_then(|profile| {
+        let admitted = checked.and(submission.profile()).and_then(|profile| {
             let needed = profile.gpu_mem;
             let placement = match preferred {
                 // Affinity first, cluster-wide spillover second.
@@ -1031,7 +994,14 @@ impl Cluster {
                     }
                 });
                 let outcome = Arc::new(OnceLock::new());
-                let handle = TaskHandle::new(id, submission.tag().clone(), Arc::clone(&outcome));
+                let handle = ClusterTaskHandle {
+                    job,
+                    id,
+                    tag: submission.tag().clone(),
+                    outcome: Arc::clone(&outcome),
+                    priority: opts.priority,
+                    admitted_at,
+                };
                 let slot = &mut self.jobs[job];
                 slot.accepted.push(AcceptedSubmission {
                     id,
@@ -1046,12 +1016,7 @@ impl Cluster {
                     slot.pinned_counts[w] += 1;
                     slot.pinned_mem[w] += profile.gpu_mem;
                 }
-                Ok(ClusterTaskHandle {
-                    job,
-                    handle,
-                    priority: opts.priority,
-                    admitted_at,
-                })
+                Ok(handle)
             }
             Err(error) => {
                 self.emit_trace(submission.arrival(), None, None, || {
@@ -1387,6 +1352,22 @@ mod tests {
     }
 
     #[test]
+    fn unknown_affinity_is_a_typed_rejection() {
+        let mut c = two_job_cluster(MinTasksJob);
+        let err = c
+            .submit_with(
+                Submission::new(WorkloadKind::PageRank),
+                SubmitOptions::new().affinity(5),
+            )
+            .unwrap_err();
+        assert_eq!(err, SubmitError::UnknownJob { job: 5, jobs: 2 });
+        assert_eq!(err.kind(), "unknown-job");
+        let report = c.run();
+        assert_eq!(report.total_rejections(), 1);
+        assert_eq!(report.rejected[0].error, err);
+    }
+
+    #[test]
     fn min_tasks_job_balances_jobs_not_workers() {
         let mut c = two_job_cluster(MinTasksJob);
         let a = c
@@ -1501,7 +1482,8 @@ mod tests {
             .job(
                 ClusterJob::new(pipeline(ModelSpec::nanogpt_3_6b(), 2))
                     .interface(InterfaceKind::Imperative)
-                    .seed(11),
+                    .seed(11)
+                    .tune(|c| c.rpc_jitter = 0.0),
             )
             .job(
                 ClusterJob::new(pipeline(ModelSpec::nanogpt_3_6b(), 2))
@@ -1516,6 +1498,8 @@ mod tests {
         );
         assert_eq!(c.job_config(1).mode, ColocationMode::Mps);
         assert_eq!(c.job_config(0).seed, 11);
+        assert_eq!(c.job_config(0).rpc_jitter, 0.0);
+        assert_ne!(c.job_config(1).rpc_jitter, 0.0, "tune is per job");
         c.submit_with(
             Submission::new(WorkloadKind::PageRank),
             SubmitOptions::new().affinity(0),

@@ -12,21 +12,19 @@
 //! * per-GPU **side-task workers** with MPS memory caps, container
 //!   isolation, and the **framework-enforced grace-period kill** of §4.5
 //!   ([`Worker`]);
-//! * the **`Deployment` session API** ([`Deployment`]): a builder-style
-//!   client against the middleware that accepts [`Submission`]s at any
-//!   simulated time (online arrivals), including **custom workloads** via
-//!   [`Submission::custom`], hands back [`TaskHandle`]s for per-task
-//!   outcome lookup, and reports typed [`SubmitError`]s instead of a
-//!   unit rejection;
-//! * the **`Cluster` multi-job API** ([`Cluster`]): N pipeline-training
-//!   jobs — each with its own pipeline, seed, and mode — advancing in
-//!   **one** deterministic simulation behind a single cluster-wide
-//!   admission plane, with pluggable [`PlacementPolicy`] routing
-//!   ([`FirstFit`], [`BestFitMemory`], [`LeastLoaded`], [`FastestFit`],
-//!   [`MinTasksJob`]),
-//!   cross-job spillover on memory pressure, and a [`ClusterReport`]
-//!   aggregating per-job reports plus fleet-level metrics
-//!   ([`Deployment`] is a thin wrapper over a one-job cluster);
+//! * the **`Cluster` API** ([`Cluster`]), the one way into the
+//!   middleware: N pipeline-training jobs — each with its own pipeline,
+//!   seed, and mode — advancing in **one** deterministic simulation
+//!   behind a single cluster-wide admission plane. A single-job run is a
+//!   one-job cluster. [`Cluster::submit_with`] accepts [`Submission`]s
+//!   at any simulated time (online arrivals), including **custom
+//!   workloads** via [`Submission::custom`], hands back
+//!   [`ClusterTaskHandle`]s for per-task outcome lookup, and reports
+//!   typed [`SubmitError`]s instead of a unit rejection. Pluggable
+//!   [`PlacementPolicy`] routing ([`FirstFit`], [`BestFitMemory`],
+//!   [`LeastLoaded`], [`FastestFit`], [`MinTasksJob`]) spills over
+//!   across jobs on memory pressure, and a [`ClusterReport`] aggregates
+//!   one [`DeploymentReport`] per job plus fleet-level metrics;
 //! * the **chaos layer**: a deterministic [`FaultPlan`] per job (worker
 //!   crashes, stragglers, transient OOM windows, RPC latency spikes)
 //!   plus three composable resilience mechanisms — retry-with-backoff
@@ -52,8 +50,8 @@
 //! * the **orchestrator** wiring the instrumented pipeline trainers,
 //!   managers, and workers together over one latency-modelled RPC bus
 //!   with a job-qualified endpoint namespace (driven by
-//!   [`Deployment::run`] / [`Cluster::run`]; the legacy batch wrapper
-//!   [`run_colocation`] remains for the paper-experiment binaries);
+//!   [`Cluster::run`]; the batch helper [`run_colocation`] runs a one-job
+//!   cluster for the paper-experiment binaries);
 //! * the **baselines** of §6.1.2 (MPS and naive co-location) and the
 //!   **metrics** of §6.1.5 (time increase `I`, cost savings `S`, Fig. 9
 //!   bubble accounting);
@@ -70,18 +68,20 @@
 //! ## Example: harvest bubbles with four PageRank side tasks
 //!
 //! ```
-//! use freeride_core::{Deployment, Submission};
+//! use freeride_core::{Cluster, ClusterJob, Submission, SubmitOptions};
 //! use freeride_pipeline::{ModelSpec, PipelineConfig};
 //! use freeride_tasks::WorkloadKind;
 //!
 //! let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b())
 //!     .with_epochs(3);
-//! let mut deployment = Deployment::builder(pipeline).build();
+//! let mut cluster = Cluster::builder().job(ClusterJob::new(pipeline)).build();
 //! for sub in Submission::per_worker(WorkloadKind::PageRank, 4) {
-//!     deployment.submit(sub).expect("fits bubble memory");
+//!     cluster
+//!         .submit_with(sub, SubmitOptions::new())
+//!         .expect("fits bubble memory");
 //! }
-//! let report = deployment.run();
-//! let cost = report.cost.expect("cost report enabled by default");
+//! let report = cluster.run();
+//! let cost = report.jobs[0].cost.expect("cost report enabled by default");
 //! assert!(cost.time_increase < 0.05, "FreeRide overhead stays low");
 //! assert!(cost.cost_savings > 0.0, "harvesting bubbles pays");
 //! ```
@@ -109,9 +109,7 @@ pub use cluster::{
     Placement, PlacementPolicy, WorkerView,
 };
 pub use config::{ColocationMode, FreeRideConfig, InterfaceKind};
-pub use deployment::{
-    Deployment, DeploymentBuilder, DeploymentReport, RejectedSubmission, Submission, TaskHandle,
-};
+pub use deployment::{DeploymentReport, RejectedSubmission, Submission};
 pub use fault::{CircuitBreaker, FaultEvent, FaultKind, FaultPlan, RetryPolicy, SubmitOptions};
 pub use health::{
     AdaptiveAdmission, Brownout, FailureDetector, HealthReport, HealthState, HealthTransition,
@@ -121,9 +119,7 @@ pub use manager::{ManagerCmd, SideTaskManager, SubmitError, WorkerMeta, WorkerPo
 pub use metrics::{
     evaluate, time_increase, BreakdownFractions, BubbleBreakdown, CostReport, TaskWork,
 };
-pub use orchestrator::{
-    run_baseline, run_baseline_with, run_colocation, ColocationRun, TaskSummary,
-};
+pub use orchestrator::{run_baseline, run_baseline_with, run_colocation, TaskSummary};
 pub use profiler::{profile_side_task, profile_side_task_on, MeasuredProfile};
 pub use service::{
     AdmissionControl, DeadlineLayer, LatencyHistogram, LayerReport, Next, PriorityTag, RateLimit,

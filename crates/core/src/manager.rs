@@ -149,6 +149,15 @@ pub enum SubmitError {
         /// The gate's admission ceiling.
         limit: usize,
     },
+    /// The submission's job affinity
+    /// ([`SubmitOptions::affinity`](crate::SubmitOptions::affinity))
+    /// named a job the cluster does not have.
+    UnknownJob {
+        /// The requested job index.
+        job: usize,
+        /// How many jobs the cluster has.
+        jobs: usize,
+    },
 }
 
 impl SubmitError {
@@ -165,6 +174,7 @@ impl SubmitError {
             SubmitError::RateLimited { .. } => "rate-limited",
             SubmitError::QuotaExceeded { .. } => "quota-exceeded",
             SubmitError::Overloaded { .. } => "overloaded",
+            SubmitError::UnknownJob { .. } => "unknown-job",
         }
     }
 }
@@ -207,6 +217,9 @@ impl core::fmt::Display for SubmitError {
                 f,
                 "cluster overloaded: {inflight} recent admissions against a ceiling of {limit}"
             ),
+            SubmitError::UnknownJob { job, jobs } => {
+                write!(f, "no job {job}: the cluster has {jobs} jobs")
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The paper's evaluation metrics (§6.1.5): time increase `I`, cost
 //! savings `S`, and the bubble-time breakdown of Fig. 9.
 //!
-//! [`Deployment::run`](crate::Deployment::run) computes a [`CostReport`]
+//! [`Cluster::run`](crate::Cluster::run) computes a [`CostReport`] per job
 //! automatically (unless disabled); [`evaluate`] remains the standalone
 //! entry point for callers holding a baseline time and task work records.
 

@@ -11,10 +11,10 @@
 //! event loop dispatches to exactly one job's state machine — a one-job
 //! cluster is byte-identical to the pre-cluster single-job orchestrator.
 //!
-//! The public entry points are the session-style [`Deployment`] and
-//! [`Cluster`](crate::Cluster) APIs; this module owns the simulation world
-//! they run on, plus the legacy batch wrappers [`run_colocation`] and
-//! [`run_baseline`] kept for the paper-experiment binaries.
+//! The public entry point is [`Cluster`]; this module owns the simulation
+//! world it runs on, plus two batch helpers for the paper-experiment
+//! binaries: [`run_colocation`] (a one-job cluster with every submission
+//! up front) and [`run_baseline`] (training with no side tasks).
 //!
 //! The same orchestrator also runs the two baselines of §6.1.2 — MPS
 //! co-location and naive co-location — by skipping the bubble machinery
@@ -29,15 +29,15 @@
 //! submission time). Submissions arriving after training finished are
 //! recorded as rejected with [`SubmitError::ArrivedAfterShutdown`].
 
-use crate::cluster::{Placement, PlacementPolicy};
+use crate::cluster::{Cluster, ClusterJob, Placement, PlacementPolicy};
 use crate::config::{ColocationMode, FreeRideConfig, InterfaceKind};
-use crate::deployment::{AcceptedSubmission, Deployment, RejectedSubmission, Submission};
-use crate::fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy};
+use crate::deployment::{AcceptedSubmission, DeploymentReport, Submission};
+use crate::fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, SubmitOptions};
 use crate::health::{
     HealthReport, HealthState, Recovery, RecoveryKind, Supervisor, SupervisorConfig,
 };
 use crate::manager::{ManagerCmd, SideTaskManager, SubmitError};
-use crate::metrics::{BubbleBreakdown, TaskWork};
+use crate::metrics::BubbleBreakdown;
 use crate::state::SideTaskState;
 use crate::task::{Misbehavior, SideTask, StopReason, TaskId};
 use crate::worker::{Worker, WorkerEffect};
@@ -50,7 +50,7 @@ use freeride_rpc::{job_scope, Directory, Endpoint, Envelope, LatencyModel, RpcBu
 use freeride_sim::{
     DetRng, EventId, RunOutcome, Scheduler, SimDuration, SimTime, Simulation, TraceRecorder, World,
 };
-use freeride_tasks::{SideTaskWorkload, WorkloadKind, WorkloadProfile, WorkloadTag};
+use freeride_tasks::{SideTaskWorkload, WorkloadProfile, WorkloadTag};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -78,51 +78,6 @@ pub struct TaskSummary {
     pub last_value: Option<f64>,
     /// The profile it ran under (batch-adjusted).
     pub profile: WorkloadProfile,
-}
-
-/// Result of one co-location run (legacy shape; superseded by
-/// [`crate::DeploymentReport`], which adds baseline time and cost).
-#[derive(Debug)]
-pub struct ColocationRun {
-    /// The mode that ran.
-    pub mode: ColocationMode,
-    /// Total pipeline-training time (`T_withSideTasks`).
-    pub total_time: SimDuration,
-    /// Per-epoch times.
-    pub epoch_times: Vec<SimDuration>,
-    /// Per-task outcomes.
-    pub tasks: Vec<TaskSummary>,
-    /// Submissions rejected by Algorithm 1, kept whole with typed reasons.
-    pub rejected: Vec<RejectedSubmission>,
-    /// Fig. 9 accounting (FreeRide modes only; zero for baselines).
-    pub breakdown: BubbleBreakdown,
-    /// Used-memory trace per GPU (`gpu{g}.mem`, GiB).
-    pub trace: TraceRecorder,
-    /// Bubble reports delivered to the manager.
-    pub bubbles_reported: u64,
-    /// Discrete events the simulation delivered for this run — the
-    /// denominator-free half of the events/sec throughput metric tracked
-    /// in `BENCH.json`.
-    pub events_processed: u64,
-}
-
-impl ColocationRun {
-    /// Work records for the cost model.
-    pub fn work(&self) -> Vec<TaskWork> {
-        self.tasks
-            .iter()
-            .map(|t| TaskWork::new(&t.profile, t.steps))
-            .collect()
-    }
-
-    /// Total steps across tasks of a kind.
-    pub fn steps_of(&self, kind: WorkloadKind) -> u64 {
-        self.tasks
-            .iter()
-            .filter(|t| t.kind == kind)
-            .map(|t| t.steps)
-            .sum()
-    }
 }
 
 enum Msg {
@@ -1540,8 +1495,8 @@ impl World for ClusterWorld {
     }
 }
 
-/// Raw results of one orchestrated job, assembled by the session APIs into
-/// a [`crate::DeploymentReport`].
+/// Raw results of one orchestrated job, assembled by [`Cluster::run`] into
+/// a [`DeploymentReport`].
 pub(crate) struct ExecutionOutput {
     pub(crate) total_time: SimDuration,
     pub(crate) epoch_times: Vec<SimDuration>,
@@ -2072,26 +2027,40 @@ pub(crate) fn execute_cluster(
     (outputs, profile_report)
 }
 
-/// Legacy batch entry point: runs pipeline training co-located with the
-/// submitted side tasks under the given mode, to completion.
+/// Batch helper: runs pipeline training co-located with the submitted
+/// side tasks under the given mode, to completion, without the cost
+/// report.
 ///
-/// A thin wrapper over the [`Deployment`] session API — every submission
-/// is submitted up front and rejections are folded into
-/// [`ColocationRun::rejected`] instead of surfacing as typed errors.
+/// Builds a one-job [`Cluster`] under the default
+/// [`MinTasksJob`](crate::MinTasksJob) policy and submits everything up
+/// front. Rejections are folded into [`DeploymentReport::rejected`]
+/// instead of surfacing as typed errors: submission-time ones first, then
+/// in-run ones.
+///
+/// # Panics
+///
+/// Panics if `fr_cfg` fails [`FreeRideConfig::validate`].
 pub fn run_colocation(
     pipeline_cfg: &PipelineConfig,
     fr_cfg: &FreeRideConfig,
     submissions: &[Submission],
-) -> ColocationRun {
+) -> DeploymentReport {
     fr_cfg.validate();
-    let mut deployment = Deployment::builder(pipeline_cfg.clone())
-        .config(fr_cfg.clone())
+    let mut cluster = Cluster::builder()
+        .job(ClusterJob::new(pipeline_cfg.clone()).config(fr_cfg.clone()))
         .cost_report(false)
         .build();
     for sub in submissions {
-        let _ = deployment.submit(sub.clone());
+        let _ = cluster.submit_with(sub.clone(), SubmitOptions::new());
     }
-    deployment.run().into()
+    let mut cluster_report = cluster.run();
+    let mut report = cluster_report
+        .jobs
+        .pop()
+        .expect("a one-job cluster reports exactly one job");
+    cluster_report.rejected.append(&mut report.rejected);
+    report.rejected = cluster_report.rejected;
+    report
 }
 
 /// Runs the no-side-task baseline with the same pipeline configuration

@@ -698,9 +698,8 @@ pub struct TenantStats {
 
 /// Sorted latency-to-placement samples with nearest-rank quantiles.
 ///
-/// Hoisted into [`freeride_obs`] as the single histogram implementation
-/// of the observability subsystem (the [`freeride_obs::MetricsRegistry`]
-/// records into the same type); re-exported here so every historical
+/// Lives in [`freeride_obs`] as the workspace's single histogram
+/// implementation; re-exported here so every historical
 /// `freeride_core::LatencyHistogram` path keeps working unchanged.
 pub use freeride_obs::LatencyHistogram;
 

@@ -16,10 +16,10 @@
 //!   injections, health transitions. Zero-cost when no sink is
 //!   registered (the default): every emission site in core is an
 //!   `if let Some(..)` over an absent handle.
-//! * **A unified [`MetricsRegistry`]** — counters, gauges, and sim-time
-//!   histograms (the nearest-rank [`LatencyHistogram`] hoisted from
-//!   `freeride-core::service` lives here now) under one deterministic,
-//!   label-scoped namespace.
+//! * **Latency histograms** — the nearest-rank [`LatencyHistogram`]
+//!   behind the service front-end's p50/p99/p999 latency-to-placement.
+//!   Time series (Figs. 1 and 8) have one home,
+//!   [`freeride_sim::TraceRecorder`].
 //! * **Exporters** — Chrome-trace/Perfetto JSON
 //!   ([`SimTracer::to_chrome_trace`]: one lane per worker, spans
 //!   categorized by event kind) and a flat JSONL event log
@@ -61,7 +61,7 @@ mod metrics;
 mod profile;
 mod trace;
 
-pub use metrics::{LatencyHistogram, MetricLabels, MetricsRegistry};
+pub use metrics::LatencyHistogram;
 pub use profile::{ProfileCollector, ProfileReport, ProfileRow, Subsystem};
 pub use trace::{SimTracer, TraceEvent, TraceEventKind, TraceHandle, TraceSink, TraceSummary};
 

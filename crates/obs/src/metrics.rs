@@ -1,8 +1,7 @@
-//! The unified metrics registry: counters, gauges, and sim-time
-//! histograms under one deterministic, label-scoped namespace.
+//! Sim-time latency histograms. Time series live in
+//! [`freeride_sim::TraceRecorder`], not here.
 
 use freeride_sim::SimDuration;
-use std::collections::BTreeMap;
 
 /// Sorted sim-time duration samples with nearest-rank quantiles.
 ///
@@ -87,149 +86,6 @@ impl LatencyHistogram {
     }
 }
 
-/// A deterministic label set: labels render sorted by key, so the same
-/// logical series always lands under the same registry key no matter
-/// the call-site order. Job and worker scoping are first-class.
-///
-/// ```
-/// use freeride_obs::MetricLabels;
-///
-/// let a = MetricLabels::new().job(2).worker(1).label("kind", "pagerank");
-/// let b = MetricLabels::new().label("kind", "pagerank").worker(1).job(2);
-/// assert_eq!(a.render(), b.render());
-/// assert_eq!(a.render(), "{job=2,kind=pagerank,worker=1}");
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricLabels {
-    labels: BTreeMap<String, String>,
-}
-
-impl MetricLabels {
-    /// An empty label set.
-    pub fn new() -> Self {
-        MetricLabels::default()
-    }
-
-    /// Scopes the series to a job index.
-    pub fn job(self, job: usize) -> Self {
-        self.label("job", job.to_string())
-    }
-
-    /// Scopes the series to a worker index.
-    pub fn worker(self, worker: usize) -> Self {
-        self.label("worker", worker.to_string())
-    }
-
-    /// Adds an arbitrary label (last write per key wins).
-    pub fn label(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.labels.insert(key.into(), value.into());
-        self
-    }
-
-    /// The canonical `{k=v,...}` rendering (empty string when no
-    /// labels).
-    pub fn render(&self) -> String {
-        if self.labels.is_empty() {
-            return String::new();
-        }
-        let body: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        format!("{{{}}}", body.join(","))
-    }
-}
-
-/// Counters, gauges, and sim-time histograms under one deterministic
-/// namespace: series are keyed `name{label=value,...}` with labels
-/// sorted, and every iteration order is the key order.
-///
-/// ```
-/// use freeride_obs::{MetricLabels, MetricsRegistry};
-/// use freeride_sim::SimDuration;
-///
-/// let mut registry = MetricsRegistry::new();
-/// let per_worker = MetricLabels::new().job(0).worker(1);
-/// registry.add_counter("steps", &per_worker, 3);
-/// registry.add_counter("steps", &per_worker, 2);
-/// registry.set_gauge("free_memory_gib", &per_worker, 12.5);
-/// registry.record_duration("step_latency", &per_worker, SimDuration::from_nanos(500));
-///
-/// assert_eq!(registry.counter("steps", &per_worker), 5);
-/// let histo = registry.histogram("step_latency", &per_worker).unwrap();
-/// assert_eq!(histo.max(), SimDuration::from_nanos(500));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, LatencyHistogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    fn key(name: &str, labels: &MetricLabels) -> String {
-        format!("{name}{}", labels.render())
-    }
-
-    /// Adds `by` to the counter series `name` + `labels`.
-    pub fn add_counter(&mut self, name: &str, labels: &MetricLabels, by: u64) {
-        *self.counters.entry(Self::key(name, labels)).or_default() += by;
-    }
-
-    /// The counter's current value (0 when never written).
-    pub fn counter(&self, name: &str, labels: &MetricLabels) -> u64 {
-        self.counters
-            .get(&Self::key(name, labels))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Sets the gauge series `name` + `labels` to `value`.
-    pub fn set_gauge(&mut self, name: &str, labels: &MetricLabels, value: f64) {
-        self.gauges.insert(Self::key(name, labels), value);
-    }
-
-    /// The gauge's last written value, if any.
-    pub fn gauge(&self, name: &str, labels: &MetricLabels) -> Option<f64> {
-        self.gauges.get(&Self::key(name, labels)).copied()
-    }
-
-    /// Records one sim-time sample into the histogram series `name` +
-    /// `labels`.
-    pub fn record_duration(&mut self, name: &str, labels: &MetricLabels, sample: SimDuration) {
-        self.histograms
-            .entry(Self::key(name, labels))
-            .or_default()
-            .record(sample);
-    }
-
-    /// The histogram series, if any sample was recorded.
-    pub fn histogram(&self, name: &str, labels: &MetricLabels) -> Option<&LatencyHistogram> {
-        self.histograms.get(&Self::key(name, labels))
-    }
-
-    /// All counter series, in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All gauge series, in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All histogram series, in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LatencyHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,31 +103,5 @@ mod tests {
         }
         assert_eq!(batch.mean(), incremental.mean());
         assert_eq!(batch.len(), incremental.len());
-    }
-
-    #[test]
-    fn label_order_is_canonical() {
-        let mut registry = MetricsRegistry::new();
-        registry.add_counter(
-            "x",
-            &MetricLabels::new().worker(1).job(0).label("a", "b"),
-            1,
-        );
-        assert_eq!(
-            registry.counter("x", &MetricLabels::new().label("a", "b").job(0).worker(1)),
-            1
-        );
-        let keys: Vec<&str> = registry.counters().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["x{a=b,job=0,worker=1}"]);
-    }
-
-    #[test]
-    fn unlabelled_series_have_bare_keys() {
-        let mut registry = MetricsRegistry::new();
-        registry.set_gauge("pressure", &MetricLabels::new(), 0.5);
-        let keys: Vec<&str> = registry.gauges().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["pressure"]);
-        assert_eq!(registry.gauge("pressure", &MetricLabels::new()), Some(0.5));
-        assert_eq!(registry.gauge("missing", &MetricLabels::new()), None);
     }
 }

@@ -4,8 +4,8 @@
 //! The paper's claim is that adapting a GPU workload takes six small
 //! steps: inherit the interface, split initialisation into host and GPU
 //! phases, and wrap the inner loop as `RunNextStep()`. Here we port a
-//! Monte-Carlo π estimator and submit it through the public `Deployment`
-//! session API — the same front door as the six built-in workloads. The
+//! Monte-Carlo π estimator and submit it through the public `Cluster`
+//! front door — the same one as the six built-in workloads. The
 //! middleware profiles, places (Algorithm 1), and drives it through the
 //! full Create → Init → Start → steps → Pause → Stop life cycle across
 //! real bubbles; a second instance arrives *mid-training* and is placed
@@ -95,19 +95,27 @@ fn main() {
     // The paper's main pipeline: 3.6B nanoGPT on four 48 GiB GPUs.
     let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(6);
 
-    let mut deployment = Deployment::builder(pipeline)
-        .interface(InterfaceKind::Iterative)
-        .seed(314)
+    let mut cluster = Cluster::builder()
+        .job(
+            ClusterJob::new(pipeline)
+                .interface(InterfaceKind::Iterative)
+                .seed(314),
+        )
         .build();
 
     // One estimator submitted up front…
-    let first = deployment.submit(pi_submission()).expect("1 GiB fits");
+    let first = cluster
+        .submit_with(pi_submission(), SubmitOptions::new())
+        .expect("1 GiB fits");
     // …and one arriving four seconds into training (online submission).
-    let late = deployment
-        .submit(pi_submission().at(SimTime::from_millis(4_000)))
+    let late = cluster
+        .submit_with(
+            pi_submission().at(SimTime::from_millis(4_000)),
+            SubmitOptions::new(),
+        )
         .expect("still fits");
 
-    let report = deployment.run();
+    let report = cluster.run().jobs.remove(0);
 
     for handle in [&first, &late] {
         let outcome = handle.outcome().expect("ran to completion");

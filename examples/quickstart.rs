@@ -1,6 +1,6 @@
 //! Quickstart: train a 3.6B-parameter model with pipeline parallelism and
-//! harvest its bubbles with PageRank side tasks through the `Deployment`
-//! session API.
+//! harvest its bubbles with PageRank side tasks through a one-job
+//! `Cluster`.
 //!
 //! Run: `cargo run --release --example quickstart`
 
@@ -11,23 +11,31 @@ fn main() {
     //    four 48 GiB GPUs, 4 micro-batches per epoch.
     let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(8);
 
-    // 2. Configure a deployment: FreeRide's iterative interface, fixed
-    //    seed. The no-side-task baseline (vanilla DeepSpeed) is trained
-    //    automatically for the cost report.
-    let mut deployment = Deployment::builder(pipeline)
-        .interface(InterfaceKind::Iterative)
-        .seed(0xF1EE)
+    // 2. Configure a one-job cluster: FreeRide's iterative interface,
+    //    fixed seed. The no-side-task baseline (vanilla DeepSpeed) is
+    //    trained automatically for the cost report.
+    let mut cluster = Cluster::builder()
+        .job(
+            ClusterJob::new(pipeline)
+                .interface(InterfaceKind::Iterative)
+                .seed(0xF1EE),
+        )
         .build();
 
     // 3. Submit one PageRank side task per GPU; each handle resolves to
     //    the task's outcome after the run.
-    let handles: Vec<TaskHandle> = Submission::per_worker(WorkloadKind::PageRank, 4)
+    let handles: Vec<ClusterTaskHandle> = Submission::per_worker(WorkloadKind::PageRank, 4)
         .into_iter()
-        .map(|sub| deployment.submit(sub).expect("fits bubble memory"))
+        .map(|sub| {
+            cluster
+                .submit_with(sub, SubmitOptions::new())
+                .expect("fits bubble memory")
+        })
         .collect();
 
-    // 4. Run training with bubble harvesting.
-    let report = deployment.run();
+    // 4. Run training with bubble harvesting; the job's report is the
+    //    only entry of `jobs`.
+    let report = cluster.run().jobs.remove(0);
     println!("baseline training time: {}", report.baseline_time.unwrap());
     println!("with side tasks:        {}", report.total_time);
 

@@ -16,41 +16,30 @@
 //! | [`rpc`] | `freeride-rpc` | latency-modelled RPC bus |
 //! | [`pipeline`] | `freeride-pipeline` | pipeline training + bubbles |
 //! | [`tasks`] | `freeride-tasks` | side-task workloads + profiles |
-//! | [`obs`] | `freeride-obs` | sim-time tracing, metrics, profiling |
+//! | [`obs`] | `freeride-obs` | sim-time tracing, latency histograms, profiling |
 //! | [`core`] | `freeride-core` | the FreeRide middleware itself |
 //! | [`rt`] | `freeride-rt` | the middleware on real OS threads |
 //!
 //! ## Quickstart
 //!
+//! The README's Quickstart drives the one front door, [`core::Cluster`],
+//! with online arrivals and the cost report; every Rust block of the
+//! README runs as a doctest of this crate. Paper-style batch runs use
+//! the one-line helper [`core::run_colocation`], which builds a one-job
+//! cluster and submits everything up front:
+//!
 //! ```
 //! use freeride::prelude::*;
 //!
-//! // The paper's main setup: 3.6B nanoGPT, 4 stages, 4 micro-batches.
 //! let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b())
-//!     .with_epochs(4);
-//!
-//! // A deployment is the middleware as a service: configure it, submit
-//! // side tasks (at any simulated time), run, inspect per-task outcomes.
-//! let mut deployment = Deployment::builder(pipeline)
-//!     .interface(InterfaceKind::Iterative)
-//!     .seed(0xF1EE)
-//!     .build();
-//!
-//! // Two PageRank side tasks up front, plus one arriving mid-training —
-//! // Algorithm 1 places it on a still-idle worker and it starts
-//! // harvesting the bubbles that remain.
-//! for sub in Submission::per_worker(WorkloadKind::PageRank, 2) {
-//!     deployment.submit(sub).expect("fits bubble memory");
-//! }
-//! let late = deployment
-//!     .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(2_000)))
-//!     .expect("online arrivals share the same front door");
-//!
-//! let report = deployment.run();
-//! let cost = report.cost.expect("cost report enabled by default");
-//! assert!(cost.time_increase < 0.02); // ~1% overhead
-//! assert!(cost.cost_savings > 0.05);  // real savings
-//! assert!(late.steps().unwrap() > 0); // the online task did real work
+//!     .with_epochs(2);
+//! let report = run_colocation(
+//!     &pipeline,
+//!     &FreeRideConfig::iterative(),
+//!     &Submission::mixed(),
+//! );
+//! assert!(report.rejected.is_empty());
+//! assert!(report.tasks.iter().all(|t| t.steps > 0));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,26 +54,30 @@ pub use freeride_rt as rt;
 pub use freeride_sim as sim;
 pub use freeride_tasks as tasks;
 
+/// Compiles and runs every Rust block of the README as a doctest, so the
+/// README's examples cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// The most commonly used types, for glob import.
 pub mod prelude {
     pub use freeride_core::{
         evaluate, run_baseline, run_colocation, time_increase, AdaptiveAdmission, AdmissionControl,
         BestFitMemory, BreakerState, Brownout, CircuitBreaker, Cluster, ClusterBuilder, ClusterJob,
-        ClusterReport, ClusterTaskHandle, ClusterView, ColocationMode, ColocationRun, CostReport,
-        DeadlineLayer, Deployment, DeploymentBuilder, DeploymentReport, FailureDetector,
-        FastestFit, FaultEvent, FaultKind, FaultPlan, FirstFit, FreeRideConfig, HealthReport,
-        HealthState, HealthTransition, InterfaceKind, JobView, LatencyHistogram, LayerReport,
-        LeastLoaded, MinTasksJob, Misbehavior, Next, Placement, PlacementPolicy, PriorityTag,
-        RateLimit, RateLimitMode, Recovery, RecoveryKind, RejectedSubmission, RetryPolicy,
-        ServiceMetrics, ServiceReport, SideTaskManager, SideTaskState, StopReason, Submission,
-        SubmitError, SubmitMiddleware, SubmitOptions, Supervisor, SupervisorConfig, TaskHandle,
-        TaskId, TaskSummary, TenantQuota, TenantStats, Transition, WorkerPolicy, WorkerView,
-        DEFAULT_TENANT,
+        ClusterReport, ClusterTaskHandle, ClusterView, ColocationMode, CostReport, DeadlineLayer,
+        DeploymentReport, FailureDetector, FastestFit, FaultEvent, FaultKind, FaultPlan, FirstFit,
+        FreeRideConfig, HealthReport, HealthState, HealthTransition, InterfaceKind, JobView,
+        LatencyHistogram, LayerReport, LeastLoaded, MinTasksJob, Misbehavior, Next, Placement,
+        PlacementPolicy, PriorityTag, RateLimit, RateLimitMode, Recovery, RecoveryKind,
+        RejectedSubmission, RetryPolicy, ServiceMetrics, ServiceReport, SideTaskManager,
+        SideTaskState, StopReason, Submission, SubmitError, SubmitMiddleware, SubmitOptions,
+        Supervisor, SupervisorConfig, TaskId, TaskSummary, TenantQuota, TenantStats, Transition,
+        WorkerPolicy, WorkerView, DEFAULT_TENANT,
     };
     pub use freeride_gpu::{GpuDevice, GpuId, HardwareSpec, MemBytes, Priority, SharingKind};
     pub use freeride_obs::{
-        MetricsRegistry, ProfileReport, SimTracer, TraceEvent, TraceEventKind, TraceSink,
-        TraceSummary,
+        ProfileReport, SimTracer, TraceEvent, TraceEventKind, TraceSink, TraceSummary,
     };
     pub use freeride_pipeline::{
         run_training, BubbleKind, BubbleProfile, BubbleReport, ModelSpec, PipelineConfig,

@@ -172,8 +172,12 @@ fn placement_policies_disagree_on_a_contended_cluster() {
 #[test]
 fn spillover_admits_what_a_single_job_rejects() {
     // Alone, the 6B job's best worker offers only ~9.4 GiB.
-    let mut alone = Deployment::builder(pipeline(ModelSpec::nanogpt_6b(), 2)).build();
-    let err = alone.submit(task_of(12)).unwrap_err();
+    let mut alone = Cluster::builder()
+        .job(ClusterJob::new(pipeline(ModelSpec::nanogpt_6b(), 2)))
+        .build();
+    let err = alone
+        .submit_with(task_of(12), SubmitOptions::new())
+        .unwrap_err();
     let SubmitError::InsufficientMemory {
         needed,
         best_worker_free,
@@ -207,10 +211,10 @@ fn spillover_admits_what_a_single_job_rejects() {
     assert_eq!(handle.worker(), Some(2));
 }
 
-/// The deployment wrapper and a one-job cluster agree exactly — the
-/// wrapper *is* a one-job cluster.
+/// The batch helper and a hand-built one-job cluster agree exactly —
+/// `run_colocation` *is* a one-job cluster.
 #[test]
-fn one_job_cluster_matches_deployment() {
+fn one_job_cluster_matches_run_colocation() {
     let submissions = || {
         vec![
             Submission::new(WorkloadKind::PageRank),
@@ -218,14 +222,11 @@ fn one_job_cluster_matches_deployment() {
         ]
     };
 
-    let mut dep = Deployment::builder(pipeline(ModelSpec::nanogpt_3_6b(), 3))
-        .seed(9)
-        .cost_report(false)
-        .build();
-    for s in submissions() {
-        dep.submit(s).unwrap();
-    }
-    let dep_report = dep.run();
+    let dep_report = run_colocation(
+        &pipeline(ModelSpec::nanogpt_3_6b(), 3),
+        &FreeRideConfig::iterative().with_seed(9),
+        &submissions(),
+    );
 
     let mut cluster = Cluster::builder()
         .job(ClusterJob::new(pipeline(ModelSpec::nanogpt_3_6b(), 3)).seed(9))

@@ -1,0 +1,124 @@
+//! Output-identity pin for the single-job path.
+//!
+//! `run_colocation` and a one-job `Cluster` with the cost report on are
+//! reduced to an FNV-1a digest of everything a run reports: times, bubble
+//! and event counts, the Fig. 9 breakdown, every task's outcome, every
+//! rejection, and the cost metrics. The constants were captured before
+//! the single-job wrappers were folded into `Cluster`, so any change to
+//! what the one front door computes fails here.
+
+mod common;
+
+use common::Fnv;
+use freeride::prelude::*;
+
+fn rejections(rejected: &[RejectedSubmission], h: &mut Fnv) {
+    h.word(rejected.len() as u64);
+    for r in rejected {
+        h.bytes(r.submission.tag().name().as_bytes());
+        h.bytes(r.error.kind().as_bytes());
+    }
+}
+
+fn digest(report: &DeploymentReport, h: &mut Fnv) {
+    h.word(report.total_time.as_nanos());
+    h.word(report.epoch_times.len() as u64);
+    for e in &report.epoch_times {
+        h.word(e.as_nanos());
+    }
+    h.word(report.bubbles_reported);
+    h.word(report.events_processed);
+    let b = &report.breakdown;
+    for d in [b.total, b.running, b.insufficient, b.unused_oom] {
+        h.word(d.as_nanos());
+    }
+    h.word(report.tasks.len() as u64);
+    for t in &report.tasks {
+        h.word(t.id.0);
+        h.word(t.worker as u64);
+        h.word(t.steps);
+        h.bytes(format!("{:?}/{:?}", t.final_state, t.stop_reason).as_bytes());
+        h.word(t.last_value.map_or(0, f64::to_bits));
+    }
+    rejections(&report.rejected, h);
+    h.word(report.baseline_time.map_or(0, SimDuration::as_nanos));
+    match &report.cost {
+        Some(c) => {
+            for f in [
+                c.time_increase,
+                c.baseline_cost,
+                c.extra_cost,
+                c.side_task_value,
+                c.cost_savings,
+            ] {
+                h.word(f.to_bits());
+            }
+        }
+        None => h.word(0),
+    }
+}
+
+fn hex(d: u64) -> String {
+    format!("{d:#018x}")
+}
+
+fn pipeline() -> PipelineConfig {
+    PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(2)
+}
+
+fn colocation_digest(cfg: &FreeRideConfig, submissions: &[Submission]) -> String {
+    let mut h = Fnv::new();
+    digest(&run_colocation(&pipeline(), cfg, submissions), &mut h);
+    hex(h.finish())
+}
+
+#[test]
+fn run_colocation_is_pinned() {
+    let pagerank = Submission::per_worker(WorkloadKind::PageRank, 4);
+    // An in-run rejection submitted before a submission-time one: the
+    // report lists submission-time rejections first.
+    let rejected = [
+        Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(600_000)),
+        Submission::new(WorkloadKind::Vgg19).with_batch(256),
+        Submission::new(WorkloadKind::PageRank),
+    ];
+    let actual = [
+        colocation_digest(&FreeRideConfig::iterative(), &pagerank),
+        colocation_digest(&FreeRideConfig::imperative(), &pagerank),
+        colocation_digest(&FreeRideConfig::mps_baseline(), &pagerank),
+        colocation_digest(&FreeRideConfig::naive_baseline(), &pagerank),
+        colocation_digest(&FreeRideConfig::iterative(), &Submission::mixed()),
+        colocation_digest(&FreeRideConfig::iterative(), &rejected),
+    ];
+    let expected = [
+        0xa5d28cbb8eb82bdbu64,
+        0xe17ba2d7aa295a34,
+        0x17c1b3d427a6f9d5,
+        0x70693404b24b09a7,
+        0x5f40b2d8fb7e4434,
+        0x0fe61ff48f93bb2b,
+    ];
+    assert_eq!(
+        actual,
+        expected.map(hex),
+        "PageRank ×4 under iterative, imperative, MPS, naive; mixed and rejections under iterative"
+    );
+}
+
+#[test]
+fn one_job_cluster_with_cost_report_is_pinned() {
+    let mut cluster = Cluster::builder().job(ClusterJob::new(pipeline())).build();
+    let oversize = Submission::new(WorkloadKind::Vgg19).with_batch(256);
+    let err = cluster
+        .submit_with(oversize, SubmitOptions::new())
+        .unwrap_err();
+    assert_eq!(err.kind(), "insufficient-memory");
+    let late = Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(1_500));
+    cluster.submit_with(late, SubmitOptions::new()).unwrap();
+    let report = cluster.run();
+
+    let mut h = Fnv::new();
+    rejections(&report.rejected, &mut h);
+    digest(&report.jobs[0], &mut h);
+    assert_eq!(hex(h.finish()), hex(0x0509d90511dfc461));
+}

@@ -1,11 +1,22 @@
-//! The `Deployment` session API, end to end: online submissions, custom
-//! workloads through the public front door, task handles, typed errors,
-//! and equivalence with the legacy batch wrapper.
+//! One training job through the `Cluster` front door, end to end: online
+//! submissions, custom workloads, task handles, typed errors, and the
+//! per-job `DeploymentReport`.
 
 use freeride::prelude::*;
 
 fn pipeline(epochs: usize) -> PipelineConfig {
     PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(epochs)
+}
+
+/// A one-job cluster training the 3.6B pipeline for `epochs` under `cfg`.
+fn one_job(epochs: usize, cfg: FreeRideConfig) -> Cluster {
+    Cluster::builder()
+        .job(ClusterJob::new(pipeline(epochs)).config(cfg))
+        .build()
+}
+
+fn seeded(seed: u64) -> FreeRideConfig {
+    FreeRideConfig::iterative().with_seed(seed)
 }
 
 /// A minimal custom workload: counts up, reports the count.
@@ -49,9 +60,11 @@ fn counter_submission() -> Submission {
 
 #[test]
 fn custom_workload_runs_full_lifecycle_through_public_api() {
-    let mut dep = Deployment::builder(pipeline(4)).seed(1).build();
-    let handle = dep.submit(counter_submission()).expect("1 GiB fits");
-    let report = dep.run();
+    let mut cluster = one_job(4, seeded(1));
+    let handle = cluster
+        .submit_with(counter_submission(), SubmitOptions::new())
+        .expect("1 GiB fits");
+    let report = cluster.run().jobs.remove(0);
 
     // The custom task appears in the report under its own name…
     let task = report.task(handle.id()).expect("in report");
@@ -72,15 +85,24 @@ fn custom_workload_runs_full_lifecycle_through_public_api() {
 
 #[test]
 fn mid_run_submission_is_placed_and_completes_steps() {
-    let mut dep = Deployment::builder(pipeline(6)).seed(2).build();
+    let mut cluster = one_job(6, seeded(2));
     // Fill workers 1 and 2 so placement of the late arrival is visible.
-    dep.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
-    dep.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
+    for _ in 0..2 {
+        cluster
+            .submit_with(
+                Submission::new(WorkloadKind::PageRank),
+                SubmitOptions::new(),
+            )
+            .unwrap();
+    }
     // Arrives 3 s into a ~25 s run.
-    let late = dep
-        .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(3_000)))
+    let late = cluster
+        .submit_with(
+            Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(3_000)),
+            SubmitOptions::new(),
+        )
         .expect("admission is time-independent");
-    let report = dep.run();
+    let report = cluster.run().jobs.remove(0);
 
     assert!(
         report.total_time > SimDuration::from_millis(3_000),
@@ -96,24 +118,29 @@ fn mid_run_submission_is_placed_and_completes_steps() {
 
 #[test]
 fn custom_workload_can_arrive_mid_run() {
-    let mut dep = Deployment::builder(pipeline(5)).seed(3).build();
-    let late = dep
-        .submit(counter_submission().at(SimTime::from_millis(2_500)))
+    let mut cluster = one_job(5, seeded(3));
+    let late = cluster
+        .submit_with(
+            counter_submission().at(SimTime::from_millis(2_500)),
+            SubmitOptions::new(),
+        )
         .unwrap();
-    dep.run();
+    cluster.run();
     assert!(late.steps().unwrap() > 0);
     assert_eq!(late.stop_reason(), Some(StopReason::Finished));
 }
 
 #[test]
 fn arrival_after_training_end_is_rejected_with_typed_error() {
-    let p = pipeline(2);
-    let mut dep = Deployment::builder(p).seed(4).build();
+    let mut cluster = one_job(2, seeded(4));
     // A 2-epoch run lasts ~8 s; an arrival at t = 10 min cannot be served.
-    let ghost = dep
-        .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(600_000)))
+    let ghost = cluster
+        .submit_with(
+            Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(600_000)),
+            SubmitOptions::new(),
+        )
         .expect("admission alone cannot know the run will end first");
-    let report = dep.run();
+    let report = cluster.run().jobs.remove(0);
 
     assert!(ghost.outcome().is_none(), "never placed");
     assert_eq!(report.tasks.len(), 0);
@@ -129,33 +156,13 @@ fn arrival_after_training_end_is_rejected_with_typed_error() {
 }
 
 #[test]
-fn batch_deployment_matches_legacy_run_colocation_exactly() {
-    let p = pipeline(4);
-    let cfg = FreeRideConfig::iterative().with_seed(7);
-    let legacy = run_colocation(&p, &cfg, &Submission::mixed());
-
-    let mut dep = Deployment::builder(p).config(cfg).build();
-    for sub in Submission::mixed() {
-        dep.submit(sub).unwrap();
-    }
-    let report = dep.run();
-
-    assert_eq!(report.total_time, legacy.total_time);
-    assert_eq!(report.epoch_times, legacy.epoch_times);
-    assert_eq!(report.bubbles_reported, legacy.bubbles_reported);
-    let steps: Vec<u64> = report.tasks.iter().map(|t| t.steps).collect();
-    let legacy_steps: Vec<u64> = legacy.tasks.iter().map(|t| t.steps).collect();
-    assert_eq!(steps, legacy_steps, "wrapper and session API agree");
-}
-
-#[test]
 fn handles_expose_placement_and_progress() {
-    let mut dep = Deployment::builder(pipeline(4)).seed(9).build();
-    let handles: Vec<TaskHandle> = Submission::mixed()
+    let mut cluster = one_job(4, seeded(9));
+    let handles: Vec<ClusterTaskHandle> = Submission::mixed()
         .into_iter()
-        .map(|s| dep.submit(s).unwrap())
+        .map(|s| cluster.submit_with(s, SubmitOptions::new()).unwrap())
         .collect();
-    let report = dep.run();
+    let report = cluster.run().jobs.remove(0);
     let mut workers: Vec<usize> = handles.iter().map(|h| h.worker().unwrap()).collect();
     workers.sort_unstable();
     workers.dedup();
@@ -173,11 +180,14 @@ fn online_arrivals_work_under_the_baseline_modes_too() {
         FreeRideConfig::mps_baseline(),
         FreeRideConfig::naive_baseline(),
     ] {
-        let mut dep = Deployment::builder(pipeline(3)).config(cfg).build();
-        let late = dep
-            .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(2_000)))
+        let mut cluster = one_job(3, cfg);
+        let late = cluster
+            .submit_with(
+                Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(2_000)),
+                SubmitOptions::new(),
+            )
             .unwrap();
-        let report = dep.run();
+        let report = cluster.run().jobs.remove(0);
         assert_eq!(
             late.state(),
             Some(SideTaskState::Stopped),
@@ -190,15 +200,14 @@ fn online_arrivals_work_under_the_baseline_modes_too() {
 
 #[test]
 fn cost_report_subsumes_the_legacy_evaluate_call() {
-    let p = pipeline(4);
-    let mut dep = Deployment::builder(p.clone()).seed(5).build();
+    let mut cluster = one_job(4, seeded(5));
     for sub in Submission::per_worker(WorkloadKind::PageRank, 4) {
-        dep.submit(sub).unwrap();
+        cluster.submit_with(sub, SubmitOptions::new()).unwrap();
     }
-    let report = dep.run();
+    let report = cluster.run().jobs.remove(0);
     let cost = report.cost.as_ref().expect("enabled by default");
-    // Identical to evaluating by hand with the legacy pieces.
-    let baseline = run_baseline(&p);
+    // Identical to evaluating by hand with the standalone pieces.
+    let baseline = run_baseline(&pipeline(4));
     assert_eq!(report.baseline_time, Some(baseline));
     let by_hand = evaluate(baseline, report.total_time, &report.work());
     assert_eq!(cost.time_increase, by_hand.time_increase);

@@ -72,27 +72,25 @@ fn epochs_are_identical_after_warmup() {
 
 #[test]
 fn online_arrivals_are_deterministic_across_identical_runs() {
-    // Two deployments with identical seeds and identical arrival
-    // schedules (including mid-run arrivals and a custom workload) must
-    // produce identical reports, RPC jitter and all.
+    // Two runs with identical seeds and identical arrival schedules
+    // (including mid-run arrivals and a custom workload) must produce
+    // identical reports, RPC jitter and all.
     let p = pipeline();
     let run = || {
-        let mut dep = Deployment::builder(p.clone())
-            .interface(InterfaceKind::Iterative)
-            .seed(42)
-            .cost_report(false)
-            .build();
-        dep.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
-        dep.submit(Submission::new(WorkloadKind::ResNet18).at(SimTime::from_millis(1_500)))
-            .unwrap();
-        dep.submit(
-            Submission::custom("ticker", MemBytes::from_gib(1), |seed| {
-                WorkloadKind::ImageProc.build(seed)
-            })
-            .at(SimTime::from_millis(6_000)),
-        )
-        .unwrap();
-        dep.run()
+        let report = run_colocation(
+            &p,
+            &FreeRideConfig::iterative().with_seed(42),
+            &[
+                Submission::new(WorkloadKind::PageRank),
+                Submission::new(WorkloadKind::ResNet18).at(SimTime::from_millis(1_500)),
+                Submission::custom("ticker", MemBytes::from_gib(1), |seed| {
+                    WorkloadKind::ImageProc.build(seed)
+                })
+                .at(SimTime::from_millis(6_000)),
+            ],
+        );
+        assert!(report.rejected.is_empty());
+        report
     };
     let a = run();
     let b = run();

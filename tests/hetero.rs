@@ -14,14 +14,13 @@ fn fingerprint(report: &DeploymentReport) -> Vec<(usize, u64)> {
 }
 
 fn run_with_fleet(fleet: Vec<HardwareSpec>) -> DeploymentReport {
-    let mut dep = Deployment::builder(pipeline(4).with_hardware(fleet))
-        .seed(11)
-        .cost_report(false)
-        .build();
-    for sub in Submission::per_worker(WorkloadKind::PageRank, 4) {
-        dep.submit(sub).expect("fits bubble memory");
-    }
-    dep.run()
+    let report = run_colocation(
+        &pipeline(4).with_hardware(fleet),
+        &FreeRideConfig::iterative().with_seed(11),
+        &Submission::per_worker(WorkloadKind::PageRank, 4),
+    );
+    assert!(report.rejected.is_empty(), "fits bubble memory");
+    report
 }
 
 #[test]
@@ -140,17 +139,23 @@ fn bigger_cards_admit_what_the_reference_fleet_rejects() {
             WorkloadKind::PageRank.build(seed)
         })
     };
-    let mut reference = Deployment::builder(pipeline(3)).cost_report(false).build();
-    let err = reference.submit(task()).unwrap_err();
+    let one_job = |p: PipelineConfig| {
+        Cluster::builder()
+            .job(ClusterJob::new(p))
+            .cost_report(false)
+            .build()
+    };
+    let err = one_job(pipeline(3))
+        .submit_with(task(), SubmitOptions::new())
+        .unwrap_err();
     assert!(matches!(err, SubmitError::InsufficientMemory { .. }));
 
-    let mut roomy =
-        Deployment::builder(pipeline(3).with_worker_hardware(3, HardwareSpec::a100_80g()))
-            .cost_report(false)
-            .build();
-    let handle = roomy.submit(task()).expect("80 GiB tail admits 30 GiB");
+    let mut roomy = one_job(pipeline(3).with_worker_hardware(3, HardwareSpec::a100_80g()));
+    let handle = roomy
+        .submit_with(task(), SubmitOptions::new())
+        .expect("80 GiB tail admits 30 GiB");
     let report = roomy.run();
     assert_eq!(handle.worker(), Some(3));
     assert!(handle.steps().unwrap() > 0);
-    assert!(report.rejected.is_empty());
+    assert_eq!(report.total_rejections(), 0);
 }

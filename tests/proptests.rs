@@ -4,11 +4,11 @@
 //! determinism under arbitrary fault traces.
 
 use freeride::core::{
-    next_state, AdmissionControl, BestFitMemory, Cluster, ClusterJob, ClusterReport, DeadlineLayer,
-    Deployment, FastestFit, FaultPlan, FirstFit, FreeRideConfig, LeastLoaded, MinTasksJob,
-    Placement, PlacementPolicy, PriorityTag, RateLimit, RateLimitMode, RetryPolicy, ServiceMetrics,
-    SideTaskManager, SideTaskState, Submission, SubmitOptions, SupervisorConfig, TaskId,
-    TenantQuota, Transition, WorkerPolicy,
+    next_state, run_colocation, AdmissionControl, BestFitMemory, Cluster, ClusterJob,
+    ClusterReport, DeadlineLayer, FastestFit, FaultPlan, FirstFit, FreeRideConfig, LeastLoaded,
+    MinTasksJob, Placement, PlacementPolicy, PriorityTag, RateLimit, RateLimitMode, RetryPolicy,
+    ServiceMetrics, SideTaskManager, SideTaskState, Submission, SubmitOptions, SupervisorConfig,
+    TaskId, TenantQuota, Transition, WorkerPolicy,
 };
 use freeride::gpu::{HardwareSpec, MemBytes, MemoryPool};
 use freeride::obs::SimTracer;
@@ -286,25 +286,16 @@ proptest! {
             c
         };
 
-        let mut batch = Deployment::builder(p.clone())
-            .config(cfg())
-            .cost_report(false)
-            .build();
-        for _ in 0..4 {
-            batch.submit(Submission::new(WorkloadKind::PageRank)).unwrap();
-        }
-        let batch = batch.run();
-
-        let mut online = Deployment::builder(p)
-            .config(cfg())
-            .cost_report(false)
-            .build();
-        for ms in &arrivals_ms {
-            online
-                .submit(Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(*ms)))
-                .unwrap();
-        }
-        let online = online.run();
+        let batch = run_colocation(&p, &cfg(), &Submission::per_worker(WorkloadKind::PageRank, 4));
+        let online_subs: Vec<Submission> = arrivals_ms
+            .iter()
+            .map(|ms| Submission::new(WorkloadKind::PageRank).at(SimTime::from_millis(*ms)))
+            .collect();
+        let online = run_colocation(&p, &cfg(), &online_subs);
+        prop_assert!(
+            batch.rejected.is_empty() && online.rejected.is_empty(),
+            "every submission fits bubble memory"
+        );
 
         // Precondition: every arrival fell inside the profiling epoch,
         // before the first serving bubble.

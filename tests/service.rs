@@ -329,6 +329,7 @@ fn every_submit_error_variant_has_a_stable_kind_label() {
             },
             "overloaded",
         ),
+        (SubmitError::UnknownJob { job: 5, jobs: 2 }, "unknown-job"),
     ];
     let mut seen = std::collections::BTreeSet::new();
     for (err, expected) in all {

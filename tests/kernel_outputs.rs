@@ -11,7 +11,7 @@ mod common;
 
 use common::Fnv;
 use freeride::sim::DetRng;
-use freeride::tasks::{Image, Matrix, WorkloadKind};
+use freeride::tasks::{CsrGraph, Image, Matrix, PageRank, WorkloadKind};
 
 /// Digest of the first 400 step values of `kind` built at `seed`.
 fn steps_digest(kind: WorkloadKind, seed: u64) -> u64 {
@@ -65,6 +65,45 @@ fn pagerank_steps_are_pinned() {
         WorkloadKind::PageRank,
         [0x25e3a7ef533eb394, 0x43a762dbd20bbb60, 0xe3fdab4c5622756e],
     );
+}
+
+/// Digest of 1,000 PageRank steps on a power-law graph: every returned
+/// delta, then `last_delta`, `iterations` and every rank.
+fn pagerank_digest(nodes: usize, seed: u64) -> u64 {
+    let graph = CsrGraph::power_law(nodes, 4, &mut DetRng::seed_from_u64(seed));
+    let mut pr = PageRank::new(graph);
+    let mut h = Fnv::new();
+    for _ in 0..1000 {
+        h.word(pr.step().to_bits());
+    }
+    h.word(pr.last_delta().to_bits());
+    h.word(pr.iterations());
+    for r in pr.ranks() {
+        h.word(r.to_bits());
+    }
+    h.finish()
+}
+
+/// The rank vector falls into a bit-exact limit cycle after 60–78 steps,
+/// which `PageRank` then replays. One graph per cycle length seen, with
+/// digests captured while every step was still computed, so replaying any
+/// period must read back exactly what recomputing it did.
+#[test]
+fn pagerank_cycles_are_pinned() {
+    let cases: [((usize, u64), u64, &str); 5] = [
+        ((1000, 1), 0x1ae5cd9fce702b21, "period 2"),
+        ((1000, 84), 0xff56fe104ea8d871, "period 4"),
+        ((1000, 5), 0x252e2f540dbd8189, "period 6"),
+        ((100, 5), 0x3b15d5cb2a120319, "period 1"),
+        ((300, 50), 0x3e1803fdd82f5f5b, "period 10"),
+    ];
+    for ((nodes, seed), expected, period) in cases {
+        assert_eq!(
+            format!("{:#018x}", pagerank_digest(nodes, seed)),
+            format!("{expected:#018x}"),
+            "{nodes} nodes, seed {seed} ({period})"
+        );
+    }
 }
 
 #[test]

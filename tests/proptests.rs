@@ -1,7 +1,8 @@
 //! Property-based tests over the core data structures and invariants:
 //! schedules, the state machine, placement, memory accounting, the event
-//! queue, whole-pipeline termination for arbitrary shapes, and replay
-//! determinism under arbitrary fault traces.
+//! queue, whole-pipeline termination for arbitrary shapes, replay
+//! determinism under arbitrary fault traces, and PageRank's cycle replay
+//! against a plain power iteration.
 
 use freeride::core::{
     next_state, run_colocation, AdmissionControl, BestFitMemory, Cluster, ClusterJob,
@@ -13,9 +14,9 @@ use freeride::core::{
 use freeride::gpu::{HardwareSpec, MemBytes, MemoryPool};
 use freeride::obs::SimTracer;
 use freeride::pipeline::{run_training, ModelSpec, PipelineConfig, Schedule, ScheduleKind};
-use freeride::sim::{EventQueue, SimDuration, SimTime};
-use freeride::tasks::WorkloadKind;
+use freeride::sim::{DetRng, EventQueue, SimDuration, SimTime};
 use freeride::tasks::{ArrivalProcess, TrafficClass, TrafficGen};
+use freeride::tasks::{CsrGraph, PageRank, WorkloadKind};
 use proptest::prelude::*;
 
 proptest! {
@@ -264,6 +265,62 @@ proptest! {
             prop_assert_eq!(pool.used(), held_total);
             prop_assert!(pool.used() <= total);
         }
+    }
+}
+
+/// `steps` power iterations of PageRank (damping 0.85) from uniform ranks,
+/// with the same arithmetic in the same order as `PageRank::step` and no
+/// cycle detection; returns every L1 delta and the final ranks.
+fn power_iteration(graph: &CsrGraph, steps: usize) -> (Vec<f64>, Vec<f64>) {
+    let n = graph.num_nodes();
+    let damping = 0.85;
+    let mut ranks = vec![1.0 / n as f64; n];
+    let mut deltas = Vec::with_capacity(steps);
+    for _ in 0..steps {
+        let mut next = vec![(1.0 - damping) / n as f64; n];
+        let mut dangling = 0.0;
+        for (node, &rank) in ranks.iter().enumerate() {
+            let out = graph.neighbors(node);
+            if out.is_empty() {
+                dangling += rank;
+                continue;
+            }
+            let share = damping * rank / out.len() as f64;
+            for &v in out {
+                next[v as usize] += share;
+            }
+        }
+        let dangling_share = damping * dangling / n as f64;
+        for v in next.iter_mut() {
+            *v += dangling_share;
+        }
+        deltas.push(next.iter().zip(&ranks).map(|(a, b)| (a - b).abs()).sum());
+        ranks = next;
+    }
+    (deltas, ranks)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// PageRank's replay of its bit-exact limit cycle returns, step for
+    /// step, what recomputing every iterate returns.
+    #[test]
+    fn pagerank_replay_matches_recompute(
+        nodes in 2usize..300,
+        edges_per_node in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let graph = CsrGraph::power_law(nodes, edges_per_node, &mut DetRng::seed_from_u64(seed));
+        let (deltas, ranks) = power_iteration(&graph, 400);
+        let mut pr = PageRank::new(graph);
+        for (i, delta) in deltas.iter().enumerate() {
+            prop_assert_eq!(pr.step().to_bits(), delta.to_bits(), "delta of step {}", i + 1);
+        }
+        prop_assert_eq!(pr.iterations(), 400);
+        prop_assert_eq!(pr.last_delta().to_bits(), deltas[399].to_bits());
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(pr.ranks()), bits(&ranks));
     }
 }
 

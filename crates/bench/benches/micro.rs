@@ -2,8 +2,8 @@
 //! queue, the GPU device fluid model, schedule construction, the manager's
 //! Algorithms 1 & 2, the seeded RNG's draw path, each real side-task step
 //! of the paper's mixed workload (PageRank both computing and replaying its
-//! limit cycle), and a full simulated training epoch with and without
-//! FreeRide.
+//! limit cycle, Image also in a batch of a thousand), and a full simulated
+//! training epoch with and without FreeRide.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use freeride_core::{run_colocation, FreeRideConfig, SideTaskManager, Submission, TaskId};
@@ -160,6 +160,15 @@ fn bench_workload_steps(c: &mut Criterion) {
             b.iter(|| black_box(task.run_step()))
         });
     }
+    // A worker settles an Image task's charged steps in one `run_steps`
+    // call, which seeks the pixel stream past all but the last image: a
+    // thousand steps should cost about one `tasks/Image step`.
+    c.bench_function("tasks/Image run_steps(1000)", |b| {
+        let mut task = WorkloadKind::ImageProc.build(1);
+        task.create();
+        task.init_gpu();
+        b.iter(|| black_box(task.run_steps(1000)))
+    });
     // The PageRank task built at seed 1 computes its first 131 steps and
     // replays its bit-exact limit cycle from then on, so `tasks/PageRank
     // step` times computed steps only while the harness makes fewer calls

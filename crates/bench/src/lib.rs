@@ -81,66 +81,79 @@ impl BenchArgs {
 
     /// Parses from an explicit argument stream (testable form).
     /// `env_threads` models `FR_THREADS`; an explicit `--threads` wins.
+    /// Every ignored argument is reported on stderr.
     pub fn from_iter(args: impl Iterator<Item = String>, env_threads: Option<usize>) -> Self {
+        let (out, warnings) = Self::parse_args(args, env_threads);
+        for warning in warnings {
+            eprintln!("warning: {warning}");
+        }
+        out
+    }
+
+    /// [`BenchArgs::from_iter`], returning the warnings instead of
+    /// printing them.
+    fn parse_args(
+        args: impl Iterator<Item = String>,
+        env_threads: Option<usize>,
+    ) -> (Self, Vec<String>) {
         let mut out = BenchArgs {
             epochs: DEFAULT_EPOCHS,
             threads: env_threads.unwrap_or_else(default_threads),
             seed: None,
         };
-        // A missing or unparseable flag value falls back to the default,
-        // but never silently: a typo like `--threads 1O` must not quietly
-        // change how a comparison run executes.
+        let mut warnings = Vec::new();
+        // A missing or unparseable argument falls back to the default,
+        // but never silently: a typo like `--threads 1O` or `table2 5O`
+        // must not quietly change how a comparison run executes.
         fn take_num(
             flag: &str,
             iter: &mut std::iter::Peekable<impl Iterator<Item = String>>,
+            warnings: &mut Vec<String>,
         ) -> Option<u64> {
-            match iter.peek().map(|s| s.parse()) {
-                Some(Ok(v)) => {
-                    iter.next();
-                    Some(v)
-                }
-                Some(Err(_)) => {
-                    // Leave the bad token in the stream: it may be the
-                    // next flag rather than a value.
-                    eprintln!(
-                        "warning: ignoring {flag} {:?} (not a number); using default",
-                        iter.peek().expect("peeked")
-                    );
-                    None
-                }
-                None => {
-                    eprintln!("warning: {flag} given without a value; using default");
-                    None
-                }
+            // The next flag is not this one's value.
+            let Some(value) = iter.next_if(|v| !v.starts_with("--")) else {
+                warnings.push(format!("{flag} given without a value; using default"));
+                return None;
+            };
+            let parsed = value.parse().ok();
+            if parsed.is_none() {
+                warnings.push(format!(
+                    "ignoring {flag} {value:?} (not a number); using default"
+                ));
             }
+            parsed
         }
         let mut iter = args.peekable();
         let mut saw_positional = false;
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--epochs" => {
-                    if let Some(v) = take_num("--epochs", &mut iter) {
+                    if let Some(v) = take_num("--epochs", &mut iter, &mut warnings) {
                         out.epochs = v as usize;
                     }
                 }
                 "--threads" => {
-                    if let Some(v) = take_num("--threads", &mut iter) {
+                    if let Some(v) = take_num("--threads", &mut iter, &mut warnings) {
                         out.threads = v as usize;
                     }
                 }
-                "--seed" => out.seed = take_num("--seed", &mut iter),
-                other => {
-                    if !saw_positional {
-                        if let Ok(e) = other.parse::<usize>() {
-                            out.epochs = e;
-                            saw_positional = true;
-                        }
+                "--seed" => out.seed = take_num("--seed", &mut iter, &mut warnings),
+                // `cargo bench` passes this to `harness = false` targets.
+                "--bench" => {}
+                other => match other.parse() {
+                    Ok(epochs) if !saw_positional => {
+                        out.epochs = epochs;
+                        saw_positional = true;
                     }
-                }
+                    Ok(_) => warnings.push(format!("ignoring extra epoch count {other:?}")),
+                    Err(_) => {
+                        warnings.push(format!("ignoring argument {other:?} (not an epoch count)"))
+                    }
+                },
             }
         }
         out.threads = out.threads.max(1);
-        out
+        (out, warnings)
     }
 
     /// A sweep runner with this argument set's thread count.
@@ -309,6 +322,40 @@ mod tests {
         assert_eq!(parse(&["5"], None).epochs, 5);
         // Junk positional falls back to the default, as before.
         assert_eq!(parse(&["nope"], None).epochs, DEFAULT_EPOCHS);
+    }
+
+    #[test]
+    fn bench_args_warn_about_every_ignored_argument() {
+        let warnings = |args: &[&str]| {
+            let (parsed, warnings) =
+                BenchArgs::parse_args(args.iter().map(|s| s.to_string()), None);
+            (parsed.epochs, warnings)
+        };
+        assert_eq!(warnings(&["5", "--threads", "2"]), (5, vec![]));
+        // A typo'd epoch count runs the default, and says so.
+        let (epochs, w) = warnings(&["5O"]);
+        assert_eq!(epochs, DEFAULT_EPOCHS);
+        assert_eq!(w.len(), 1);
+        assert!(w[0].contains("\"5O\""), "{w:?}");
+        // So does a second positional, and a junk one before the count.
+        let (epochs, w) = warnings(&["5", "7"]);
+        assert_eq!(epochs, 5);
+        assert_eq!(w.len(), 1);
+        assert!(w[0].contains("\"7\""), "{w:?}");
+        let (epochs, w) = warnings(&["nope", "6"]);
+        assert_eq!(epochs, 6);
+        assert_eq!(w.len(), 1);
+        assert!(w[0].contains("\"nope\""), "{w:?}");
+        // `cargo bench` appends `--bench`.
+        assert_eq!(warnings(&["--bench"]), (DEFAULT_EPOCHS, vec![]));
+        // A bad flag value is consumed and reported once; a missing one
+        // leaves the next flag in place.
+        let (_, w) = warnings(&["--threads", "1O", "3"]);
+        assert_eq!(w.len(), 1, "{w:?}");
+        assert!(w[0].contains("--threads \"1O\""), "{w:?}");
+        let (epochs, w) = warnings(&["--seed", "--epochs", "4"]);
+        assert_eq!(epochs, 4);
+        assert_eq!(w, vec!["--seed given without a value; using default"]);
     }
 
     #[test]

@@ -1936,9 +1936,15 @@ pub(crate) fn execute_cluster(
     let outputs = world
         .jobs
         .into_iter()
-        .map(|job| {
+        .map(|mut job| {
             assert!(job.engine.is_done(), "training must complete");
             assert!(job.finished(), "all tasks must stop");
+            // Compute every charged step before anything reads a value, on
+            // every task: restore predecessors and hedge losers too, so
+            // each workload ends having run exactly its charged steps.
+            for w in &mut job.workers {
+                w.settle();
+            }
 
             // Gather results. Restored incarnations fold into their
             // original submission: one summary per submitted task, read

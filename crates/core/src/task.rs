@@ -110,7 +110,11 @@ pub struct SideTask {
     /// Steps completed during bubbles.
     pub steps: u64,
     /// The workload's most recent progress metric (loss, delta, RMSE…),
-    /// surfaced into the run report.
+    /// surfaced into the run report. Current only after the owning worker
+    /// settles its tasks ([`Worker::settle`]): a completed step is charged
+    /// at once but computed then.
+    ///
+    /// [`Worker::settle`]: crate::Worker::settle
     pub last_value: Option<f64>,
     /// Failure injection.
     pub misbehavior: Misbehavior,
@@ -121,6 +125,8 @@ pub struct SideTask {
     /// Accumulated sub-kernel time towards the next full step (imperative
     /// interface only).
     pub sub_progress: freeride_sim::SimDuration,
+    /// Steps charged to `workload` but not yet computed.
+    unsettled: u64,
 }
 
 impl SideTask {
@@ -150,6 +156,7 @@ impl SideTask {
             stop_reason: StopReason::NotStopped,
             leaked: MemBytes::ZERO,
             sub_progress: freeride_sim::SimDuration::ZERO,
+            unsettled: 0,
         }
     }
 
@@ -179,6 +186,20 @@ impl SideTask {
         self.sm
             .apply(now, t)
             .unwrap_or_else(|e| panic!("{}: {e}", self.id))
+    }
+
+    /// Counts one completed step; its computation waits for
+    /// [`SideTask::settle`].
+    pub(crate) fn charge_step(&mut self) {
+        self.steps += 1;
+        self.unsettled += 1;
+    }
+
+    /// Computes the charged steps in one batch
+    /// ([`SideTaskWorkload::run_steps`]) and records the last value.
+    pub(crate) fn settle(&mut self) {
+        let n = std::mem::take(&mut self.unsettled);
+        self.last_value = self.workload.run_steps(n).or(self.last_value);
     }
 
     /// Records a successful pause for the framework-enforced check.

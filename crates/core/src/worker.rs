@@ -129,7 +129,8 @@ impl Worker {
         self.accounting
     }
 
-    /// A task owned by this worker.
+    /// A task owned by this worker. Its [`SideTask::last_value`] is
+    /// current only after [`Worker::settle`].
     pub fn task(&self, id: TaskId) -> Option<&SideTask> {
         self.tasks.get(&id)
     }
@@ -137,6 +138,16 @@ impl Worker {
     /// All tasks owned by this worker.
     pub fn tasks(&self) -> impl Iterator<Item = &SideTask> {
         self.tasks.values()
+    }
+
+    /// Computes the steps charged to every owned task, stopped ones
+    /// included. A step is charged when its kernel completes but computed
+    /// only here; the run report settles every worker once, when training
+    /// ends, before it reads any task.
+    pub fn settle(&mut self) {
+        for task in self.tasks.values_mut() {
+            task.settle();
+        }
     }
 
     /// Whether any owned task is not yet stopped.
@@ -362,16 +373,12 @@ impl Worker {
             return Vec::new();
         }
         match task.interface {
-            InterfaceKind::Iterative => {
-                task.last_value = Some(task.workload.run_step());
-                task.steps += 1;
-            }
+            InterfaceKind::Iterative => task.charge_step(),
             InterfaceKind::Imperative => {
                 task.sub_progress += solo;
                 while task.sub_progress >= task.profile.step_server1 {
                     task.sub_progress -= task.profile.step_server1;
-                    task.last_value = Some(task.workload.run_step());
-                    task.steps += 1;
+                    task.charge_step();
                 }
             }
         }
@@ -937,6 +944,7 @@ mod tests {
             }
         }
         assert_eq!(w.task(id).unwrap().steps, 5);
+        w.settle();
         assert_eq!(w.task(id).unwrap().workload.steps_done(), 5);
     }
 }

@@ -112,6 +112,14 @@ impl DetRng {
             .max(0.01)
     }
 
+    /// Advances the stream past `n` [`RngCore::next_u64`] draws without
+    /// making them. Every `next_u64` consumes exactly two words of the
+    /// ChaCha stream, so this is one seek of the same cost for any `n`.
+    pub fn skip_u64(&mut self, n: u64) {
+        let pos = self.inner.get_word_pos();
+        self.inner.set_word_pos(pos + 2 * u128::from(n));
+    }
+
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -178,6 +186,34 @@ mod tests {
         let mut b = DetRng::seed_from_u64(9);
         let _ = a.derive("child");
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn skip_u64_lands_where_sequential_draws_do() {
+        let mut sequential = DetRng::seed_from_u64(6);
+        let draws: Vec<u64> = (0..100).map(|_| sequential.next_u64()).collect();
+        for (k, start) in [(0, 0), (1, 0), (8, 0), (9, 3), (57, 42)] {
+            let mut rng = DetRng::seed_from_u64(6);
+            for _ in 0..start {
+                rng.next_u64();
+            }
+            rng.skip_u64(k);
+            assert_eq!(
+                rng.next_u64(),
+                draws[(start + k) as usize],
+                "skip {k} from {start}"
+            );
+        }
+        // After an odd number of words the skipped draws straddle blocks.
+        let mut odd = DetRng::seed_from_u64(6);
+        let mut odd_sequential = DetRng::seed_from_u64(6);
+        odd.next_u32();
+        odd_sequential.next_u32();
+        for _ in 0..20 {
+            odd_sequential.next_u64();
+        }
+        odd.skip_u64(20);
+        assert_eq!(odd.next_u64(), odd_sequential.next_u64());
     }
 
     #[test]

@@ -142,7 +142,6 @@ pub struct ImagePipeline {
     source_size: (usize, usize),
     watermark: Image,
     processed: u64,
-    last_mean: f64,
 }
 
 impl ImagePipeline {
@@ -164,7 +163,6 @@ impl ImagePipeline {
             source_size: (width, height),
             watermark,
             processed: 0,
-            last_mean: 0.0,
         }
     }
 
@@ -175,8 +173,23 @@ impl ImagePipeline {
         let mut resized = img.resize(w / 2, h / 2);
         resized.watermark(&self.watermark, 0.4);
         self.processed += 1;
-        self.last_mean = resized.mean();
-        self.last_mean
+        resized.mean()
+    }
+
+    /// Skips the next `images` images without drawing or processing them,
+    /// as if [`ImagePipeline::step`] had run that many times: the pixel
+    /// stream seeks past them, at the cost of one ChaCha block.
+    ///
+    /// This is exact because the image drawn by a step depends only on
+    /// where the stream starts, and [`Image::synthetic`] makes exactly
+    /// `3·w·h` `next_u64` draws per image: `gen_range_u64` maps each draw
+    /// to a channel value with the vendored `rand`'s widening multiply
+    /// (`below()`), which has no rejection loop. A sampler that rejects
+    /// draws would make the count data-dependent and this seek wrong.
+    pub fn skip(&mut self, images: u64) {
+        let (w, h) = self.source_size;
+        self.rng.skip_u64(images * (3 * w * h) as u64);
+        self.processed += images;
     }
 
     /// Images processed so far.
@@ -268,6 +281,21 @@ mod tests {
         let mut img = Image::new(2, 2);
         let mark = Image::new(1, 1);
         img.watermark(&mark, 1.5);
+    }
+
+    #[test]
+    fn skip_lands_on_the_image_sequential_steps_reach() {
+        // 18×17 images take 1,836 stream words: seeks land mid-block.
+        let mut skipping = ImagePipeline::new(18, 17, 8);
+        let mut stepping = ImagePipeline::new(18, 17, 8);
+        for _ in 0..5 {
+            stepping.step();
+        }
+        skipping.skip(5);
+        assert_eq!(skipping.processed(), 5);
+        assert_eq!(skipping.step().to_bits(), stepping.step().to_bits());
+        skipping.skip(0);
+        assert_eq!(skipping.step().to_bits(), stepping.step().to_bits());
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! functions; the simulator charges virtual time from the calibrated
 //! [`WorkloadProfile`], while the computation itself runs for real.
 //!
+//! Because a step's virtual time comes from the profile, not from the
+//! computation, the middleware is free to run a task's steps later than it
+//! charges them, and in batches: it counts the steps it charges and runs
+//! them through [`SideTaskWorkload::run_steps`] when the run report reads
+//! the task, at the end of the run. Only the last step's value is reported.
+//!
 //! [`WorkloadProfile`]: crate::profiles::WorkloadProfile
 
 use crate::graph::{CsrGraph, GraphSgd, PageRank};
@@ -41,6 +47,21 @@ pub trait SideTaskWorkload: Send {
     /// [`create`]: SideTaskWorkload::create
     /// [`init_gpu`]: SideTaskWorkload::init_gpu
     fn run_step(&mut self) -> f64;
+
+    /// Runs `n` steps and returns the last one's value, or `None` for
+    /// `n == 0`. The middleware steps a task only through this method,
+    /// possibly long after the steps' bubbles (see the module docs).
+    ///
+    /// The default loops [`run_step`]. Override it only with an exact
+    /// shortcut: afterwards the workload's state, [`steps_done`] and the
+    /// returned value must equal those of `n` [`run_step`] calls, bit for
+    /// bit.
+    ///
+    /// [`run_step`]: SideTaskWorkload::run_step
+    /// [`steps_done`]: SideTaskWorkload::steps_done
+    fn run_steps(&mut self, n: u64) -> Option<f64> {
+        (0..n).fold(None, |_, _| Some(self.run_step()))
+    }
 
     /// Steps executed so far.
     fn steps_done(&self) -> u64;
@@ -224,6 +245,10 @@ impl ImageTask {
             steps: 0,
         }
     }
+
+    fn pipeline(&mut self) -> &mut ImagePipeline {
+        self.pipeline.as_mut().expect("run_step before init_gpu")
+    }
 }
 
 impl SideTaskWorkload for ImageTask {
@@ -241,10 +266,18 @@ impl SideTaskWorkload for ImageTask {
     }
 
     fn run_step(&mut self) -> f64 {
-        let p = self.pipeline.as_mut().expect("run_step before init_gpu");
-        let mean = p.step();
+        let mean = self.pipeline().step();
         self.steps += 1;
         mean
+    }
+
+    /// Each image is independent of the ones before it, so only the last
+    /// is processed: the pixel stream seeks past the others.
+    fn run_steps(&mut self, n: u64) -> Option<f64> {
+        let skipped = n.checked_sub(1)?;
+        self.pipeline().skip(skipped);
+        self.steps += skipped;
+        Some(self.run_step())
     }
 
     fn steps_done(&self) -> u64 {
@@ -289,6 +322,12 @@ mod tests {
     fn image_task_lifecycle() {
         let mut t = ImageTask::new(4);
         lifecycle(&mut t);
+    }
+
+    #[test]
+    fn run_steps_of_nothing_needs_no_init() {
+        assert_eq!(ImageTask::new(1).run_steps(0), None);
+        assert_eq!(PageRankTask::new(100, 1).run_steps(0), None);
     }
 
     #[test]

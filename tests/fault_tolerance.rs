@@ -4,6 +4,8 @@
 
 use freeride::prelude::*;
 use freeride::sim::SimDuration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn pipeline(epochs: usize) -> PipelineConfig {
     PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(epochs)
@@ -189,4 +191,94 @@ fn oversized_tasks_are_rejected_not_crashed() {
     assert!(run.tasks.is_empty());
     // Training ran to completion regardless.
     assert_eq!(run.epoch_times.len(), 3);
+}
+
+/// A custom workload whose every `run_step`, in any incarnation, bumps
+/// one shared counter.
+struct CountedSteps {
+    calls: Arc<AtomicU64>,
+    steps: u64,
+}
+
+impl SideTaskWorkload for CountedSteps {
+    fn name(&self) -> &'static str {
+        "counted"
+    }
+    fn create(&mut self) {}
+    fn init_gpu(&mut self) {}
+    fn run_step(&mut self) -> f64 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.steps += 1;
+        self.steps as f64
+    }
+    fn steps_done(&self) -> u64 {
+        self.steps
+    }
+}
+
+/// Four counted tasks on a six-epoch job whose worker 1 crashes at 4.0 s
+/// (down 1 s) and 5.2 s (down 3 s), with 1 s checkpoints. `hedged` adds a
+/// straggling worker 2 and a supervisor hedging at half the median.
+/// Returns the `run_step` calls made across every incarnation.
+fn counted_run(hedged: bool) -> (u64, ClusterReport) {
+    let calls = Arc::new(AtomicU64::new(0));
+    let shared = Arc::clone(&calls);
+    let counted = Submission::custom("counted", MemBytes::from_gib(1), move |_seed| {
+        Box::new(CountedSteps {
+            calls: Arc::clone(&shared),
+            steps: 0,
+        })
+    })
+    .with_step_time(SimDuration::from_millis(4));
+    let mut faults = FaultPlan::new()
+        .crash_worker(SimTime::from_millis(4_000), 1, SimDuration::from_secs(1))
+        .crash_worker(SimTime::from_millis(5_200), 1, SimDuration::from_secs(3));
+    let mut job = ClusterJob::new(pipeline(6))
+        .seed(0xC4A05)
+        .checkpoint(SimDuration::from_secs(1));
+    if hedged {
+        faults = faults.straggler(
+            SimTime::from_millis(6_000),
+            2,
+            0.25,
+            SimDuration::from_secs(4),
+        );
+        job = job.supervise(SupervisorConfig::new().hedge(0.5));
+    }
+    let mut cluster = Cluster::builder()
+        .job(job.faults(faults))
+        .cost_report(false)
+        .build();
+    for _ in 0..4 {
+        cluster
+            .submit_with(counted.clone(), SubmitOptions::new())
+            .expect("1 GiB fits");
+    }
+    let report = cluster.run();
+    (calls.load(Ordering::Relaxed), report)
+}
+
+/// A step is charged when its kernel ends but computed when the report
+/// reads its task. Crashes, checkpoint restores and cancelled hedges must
+/// neither drop nor repeat a computation: every incarnation runs exactly
+/// the steps it was charged. The constants were captured while every
+/// step ran the moment it was charged.
+#[test]
+fn every_charged_step_runs_once_through_crashes_restores_and_hedges() {
+    let (calls, restored) = counted_run(false);
+    assert_eq!(restored.jobs[0].recoveries.len(), 2, "two restores");
+    // The predecessors' steps past their last checkpoint ran too, though
+    // no summary reports them.
+    assert!(calls > restored.total_steps());
+    assert_eq!(calls, 7490);
+
+    let (calls, hedged) = counted_run(true);
+    assert!(
+        hedged.jobs[0]
+            .tasks
+            .iter()
+            .any(|t| t.stop_reason == StopReason::HedgeLost && t.steps > 0),
+        "a hedge loser was charged steps"
+    );
+    assert_eq!(calls, 7278);
 }

@@ -122,6 +122,77 @@ fn image_steps_are_pinned() {
     );
 }
 
+/// Asserts that 400 steps of `kind` taken in uneven chunks through
+/// `run_steps`, as the middleware batches a task's charged steps, end on
+/// the bits of the 400th `run_step` value at seeds 1, 7 and 99. The
+/// constants were captured while every step ran singly.
+fn assert_chunked_steps_pinned(kind: WorkloadKind, expected: [u64; 3]) {
+    let actual = [1, 7, 99].map(|seed| {
+        let mut task = kind.build(seed);
+        task.create();
+        task.init_gpu();
+        let mut last = None;
+        for n in [1, 2, 7, 128, 262] {
+            last = task.run_steps(n);
+        }
+        assert_eq!(task.steps_done(), 400, "{kind:?} at seed {seed}");
+        last.map_or(0, f64::to_bits)
+    });
+    assert_eq!(
+        actual.map(|d| format!("{d:#018x}")),
+        expected.map(|d| format!("{d:#018x}")),
+        "{kind:?} at seeds 1, 7, 99"
+    );
+}
+
+#[test]
+fn resnet18_chunked_steps_are_pinned() {
+    assert_chunked_steps_pinned(
+        WorkloadKind::ResNet18,
+        [0x3fe4659d8cc178f9, 0x3fe25d9c3d23b41f, 0x3fe3eca00f96597a],
+    );
+}
+
+#[test]
+fn resnet50_chunked_steps_are_pinned() {
+    assert_chunked_steps_pinned(
+        WorkloadKind::ResNet50,
+        [0x3fe502cc91fd51c1, 0x3fe48f0cb81673b3, 0x3fe0598c727010d0],
+    );
+}
+
+#[test]
+fn vgg19_chunked_steps_are_pinned() {
+    assert_chunked_steps_pinned(
+        WorkloadKind::Vgg19,
+        [0x3fdeea69b84b8012, 0x3fe238ad1abdf51f, 0x3fda6506a4a8704d],
+    );
+}
+
+#[test]
+fn pagerank_chunked_steps_are_pinned() {
+    assert_chunked_steps_pinned(
+        WorkloadKind::PageRank,
+        [0x3c84400000000000, 0x3c7c600000000000, 0x3c85280000000000],
+    );
+}
+
+#[test]
+fn graph_sgd_chunked_steps_are_pinned() {
+    assert_chunked_steps_pinned(
+        WorkloadKind::GraphSgd,
+        [0x3fa964d417ed247a, 0x3faa064ced0b582e, 0x3fa8edf3eace5289],
+    );
+}
+
+#[test]
+fn image_chunked_steps_are_pinned() {
+    assert_chunked_steps_pinned(
+        WorkloadKind::ImageProc,
+        [0x405fac638e38e38e, 0x405ff871c71c71c7, 0x405ff5dc71c71c72],
+    );
+}
+
 fn image_digest(img: &Image) -> u64 {
     let mut h = Fnv::new();
     for y in 0..img.height() {

@@ -325,6 +325,34 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Steps run in batches (`run_steps`, as a worker settles a task's
+    /// charged steps) end where single steps do, for any chunking: the
+    /// same values, `steps_done` and next step. Image seeks its pixel
+    /// stream past every skipped image; PageRank loops `run_step`.
+    #[test]
+    fn run_steps_in_any_chunking_matches_single_steps(
+        image in any::<bool>(),
+        seed in any::<u64>(),
+        chunks in prop::collection::vec(0u64..10, 1..5),
+    ) {
+        let kind = if image { WorkloadKind::ImageProc } else { WorkloadKind::PageRank };
+        let (mut batched, mut single) = (kind.build(seed), kind.build(seed));
+        for task in [&mut batched, &mut single] {
+            task.create();
+            task.init_gpu();
+        }
+        for &n in &chunks {
+            let expected = (0..n).map(|_| single.run_step()).last();
+            prop_assert_eq!(batched.run_steps(n).map(f64::to_bits), expected.map(f64::to_bits));
+        }
+        prop_assert_eq!(batched.steps_done(), single.steps_done());
+        prop_assert_eq!(batched.run_step().to_bits(), single.run_step().to_bits());
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Online arrivals are work-preserving: when memory never binds and

@@ -67,9 +67,11 @@ impl SweepRunner {
 
         let queue = Mutex::new(jobs.into_iter().enumerate());
         let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        crossbeam::thread::scope(|s| {
+        // `std::thread::scope` joins every thread, then panics if any
+        // job did.
+        std::thread::scope(|s| {
             for _ in 0..self.threads.min(n) {
-                s.spawn(|_| loop {
+                s.spawn(|| loop {
                     // Hold the queue lock only for the claim, not the run.
                     let job = queue.lock().expect("queue lock").next();
                     match job {
@@ -81,8 +83,7 @@ impl SweepRunner {
                     }
                 });
             }
-        })
-        .expect("sweep scope");
+        });
 
         results
             .into_iter()
@@ -153,6 +154,24 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), 100);
+    }
+
+    #[test]
+    fn a_panicking_job_propagates_after_the_others_run() {
+        let counter = AtomicUsize::new(0);
+        let jobs: Vec<_> = (0..16usize)
+            .map(|i| {
+                let c = &counter;
+                move || {
+                    assert_ne!(i, 5, "job 5 fails");
+                    c.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+            .collect();
+        let runner = SweepRunner::new(4);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run(jobs)));
+        assert!(outcome.is_err(), "the job's panic must reach the caller");
+        assert_eq!(counter.load(Ordering::SeqCst), 15, "every other job ran");
     }
 
     #[test]

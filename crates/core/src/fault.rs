@@ -123,6 +123,11 @@ pub struct FaultEvent {
 /// not randomness: the same plan always produces the same run, which is
 /// what makes chaos experiments diffable.
 ///
+/// Windows of one kind on one worker may overlap. The worker stays
+/// down, slowed or spiked until the last of them closes, under the
+/// factor or latency of the latest one still open; a crash on a daemon
+/// that is already down only extends the outage.
+///
 /// ```
 /// use freeride_core::{FaultKind, FaultPlan};
 /// use freeride_sim::{SimDuration, SimTime};

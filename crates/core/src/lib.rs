@@ -43,9 +43,8 @@
 //!   sim-time failure detector ([`FailureDetector`]) fed by worker
 //!   heartbeats over the RPC bus, driving `Healthy → Suspect → Dead`
 //!   transitions that drain workers ([`WorkerView::health`]), trigger
-//!   proactive checkpoint migration off failing workers, hedge
-//!   stragglers with speculative duplicates, and adapt admission under
-//!   overload ([`AdaptiveAdmission`], [`Brownout`]) — all reported in
+//!   proactive checkpoint migration off failing workers, and hedge
+//!   stragglers with speculative duplicates — all reported in
 //!   [`ClusterReport::health`];
 //! * the **orchestrator** wiring the instrumented pipeline trainers,
 //!   managers, and workers together over one latency-modelled RPC bus
@@ -112,8 +111,8 @@ pub use config::{ColocationMode, FreeRideConfig, InterfaceKind};
 pub use deployment::{DeploymentReport, RejectedSubmission, Submission};
 pub use fault::{CircuitBreaker, FaultEvent, FaultKind, FaultPlan, RetryPolicy, SubmitOptions};
 pub use health::{
-    AdaptiveAdmission, Brownout, FailureDetector, HealthReport, HealthState, HealthTransition,
-    Recovery, RecoveryKind, Supervisor, SupervisorConfig,
+    FailureDetector, HealthReport, HealthState, HealthTransition, Recovery, RecoveryKind,
+    Supervisor, SupervisorConfig,
 };
 pub use manager::{ManagerCmd, SideTaskManager, SubmitError, WorkerMeta, WorkerPolicy};
 pub use metrics::{

@@ -35,6 +35,7 @@ use crate::deployment::{AcceptedSubmission, DeploymentReport, Submission};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, SubmitOptions};
 use crate::health::{
     HealthReport, HealthState, Recovery, RecoveryKind, Supervisor, SupervisorConfig,
+    HEARTBEAT_INTERVAL, HEDGE_INTERVAL,
 };
 use crate::manager::{ManagerCmd, SideTaskManager, SubmitError};
 use crate::metrics::BubbleBreakdown;
@@ -225,6 +226,9 @@ struct JobRuntime {
     base_speeds: Vec<f64>,
     /// Open transient-OOM window on the admission plane, if any.
     oom_until: Option<SimTime>,
+    /// Crash, straggler and spike faults whose window is open, in the
+    /// order they opened.
+    open_faults: Vec<usize>,
     /// Checkpoint/restart snapshot interval, when the mechanism is on.
     ckpt_interval: Option<SimDuration>,
     /// Last checkpointed steps per task.
@@ -652,7 +656,16 @@ impl JobRuntime {
         self.emit_with(now, fault.worker(), || TraceEventKind::FaultBegin {
             fault: fault.label(),
         });
+        let overlapping = self.open_window_like(&fault).is_some();
+        if fault.worker().is_some() {
+            self.open_faults.push(idx);
+        }
         match fault {
+            FaultKind::WorkerCrash { worker, down_for } if overlapping => {
+                // The daemon is already down: the later window only
+                // extends the outage.
+                self.down_until[worker] = self.down_until[worker].max(Some(now + down_for));
+            }
             FaultKind::WorkerCrash { worker, down_for } => {
                 // Settle the device up to the crash instant, then take
                 // every live side task down with the daemon. Training is
@@ -724,9 +737,20 @@ impl JobRuntime {
         }
     }
 
+    /// The latest-opened fault window still open with `fault`'s kind on
+    /// `fault`'s worker, if any.
+    fn open_window_like(&self, fault: &FaultKind) -> Option<FaultKind> {
+        self.open_faults
+            .iter()
+            .rev()
+            .map(|&i| self.faults[i].kind)
+            .find(|k| k.label() == fault.label() && k.worker() == fault.worker())
+    }
+
     /// A transient fault's window closes: restore the degraded resource
     /// and, under checkpoint/restart, re-admit the tasks a crashed daemon
-    /// took down.
+    /// took down. While another window of the same kind is open on the
+    /// worker, the worker stays degraded, under the latest-opened one.
     fn handle_fault_end(
         &mut self,
         now: SimTime,
@@ -738,25 +762,37 @@ impl JobRuntime {
         self.emit_with(now, fault.worker(), || TraceEventKind::FaultEnd {
             fault: fault.label(),
         });
+        self.open_faults.retain(|&i| i != idx);
+        let still_open = self.open_window_like(&fault);
         match fault {
             FaultKind::Straggler { worker, .. } => {
                 self.drain_device(now, worker, bus, s);
                 let base = self.base_speeds[worker];
-                self.devices[worker].set_compute_speed(now, base);
+                let speed = match still_open {
+                    Some(FaultKind::Straggler { factor, .. }) => base * factor,
+                    _ => base,
+                };
+                self.devices[worker].set_compute_speed(now, speed);
                 self.resync_device(worker, s);
                 self.record_device(now, worker);
             }
             FaultKind::RpcSpike { worker, .. } => {
-                // Back to this job's own RPC physics. Overriding with the
-                // model the link already carries does not perturb the
-                // jitter stream, so an un-spiked link is indistinguishable
-                // from one that never spiked.
-                let model = LatencyModel {
-                    base: self.cfg.rpc_latency,
-                    jitter_sigma: self.cfg.rpc_jitter,
+                // Back to this job's own RPC physics once no spike is
+                // left. Overriding with the model the link already carries
+                // does not perturb the jitter stream, so an un-spiked link
+                // is indistinguishable from one that never spiked.
+                let model = match still_open {
+                    Some(FaultKind::RpcSpike { latency, .. }) => LatencyModel::fixed(latency),
+                    _ => LatencyModel {
+                        base: self.cfg.rpc_latency,
+                        jitter_sigma: self.cfg.rpc_jitter,
+                    },
                 };
                 bus.set_link_latency(self.ep_manager, self.ep_workers[worker], model.clone());
                 bus.set_link_latency(self.ep_workers[worker], self.ep_manager, model);
+            }
+            FaultKind::WorkerCrash { .. } if still_open.is_some() => {
+                // Another crash window keeps the daemon down.
             }
             FaultKind::WorkerCrash { worker, .. } => {
                 self.down_until[worker] = None;
@@ -964,18 +1000,12 @@ impl JobRuntime {
             let to = self.ep_manager;
             self.send(now, from, to, Msg::Heartbeat { worker }, bus, s);
         }
-        let interval = self
-            .supervisor
-            .as_ref()
-            .expect("checked above")
-            .cfg()
-            .heartbeat_interval;
         let base = self.base_speeds[worker];
         let speed = self.devices[worker].compute_speed();
         let next = if speed < base {
-            SimDuration::from_secs_f64(interval.as_secs_f64() * base / speed)
+            SimDuration::from_secs_f64(HEARTBEAT_INTERVAL.as_secs_f64() * base / speed)
         } else {
-            interval
+            HEARTBEAT_INTERVAL
         };
         let ev = self.ev(Ev::Heartbeat(worker));
         s.schedule_after(next, ev);
@@ -997,7 +1027,6 @@ impl JobRuntime {
             return;
         };
         let transitions = sup.check(now);
-        let interval = sup.cfg().heartbeat_interval;
         let migrate_on_suspect = sup.cfg().migrate_on_suspect;
         for tr in transitions {
             self.emit_with(now, Some(tr.worker), || TraceEventKind::Health {
@@ -1014,7 +1043,7 @@ impl JobRuntime {
             }
         }
         let ev = self.ev(Ev::HealthCheck);
-        s.schedule_after(interval, ev);
+        s.schedule_after(HEARTBEAT_INTERVAL, ev);
     }
 
     /// The supervisor scans for straggling side tasks to hedge.
@@ -1033,12 +1062,11 @@ impl JobRuntime {
         if self.finished() {
             return;
         }
-        let interval = sup.cfg().hedge_interval;
         if !self.stops_issued && !self.training_done {
             self.hedge_laggards(now, threshold, bus, s);
         }
         let ev = self.ev(Ev::HedgeCheck);
-        s.schedule_after(interval, ev);
+        s.schedule_after(HEDGE_INTERVAL, ev);
     }
 
     /// Straggler hedging: find live side tasks whose progress fell below
@@ -1737,6 +1765,7 @@ pub(crate) fn execute_cluster(
             down_until: vec![None; pipeline_cfg.stages],
             base_speeds: world_devices.iter().map(|d| d.compute_speed()).collect(),
             oom_until: None,
+            open_faults: Vec::new(),
             ckpt_interval: spec.checkpoint,
             ckpt_steps: BTreeMap::new(),
             lost: Vec::new(),
@@ -1900,7 +1929,7 @@ pub(crate) fn execute_cluster(
         let Some(cfg) = spec.supervise else {
             continue;
         };
-        let first = SimTime::ZERO + cfg.heartbeat_interval;
+        let first = SimTime::ZERO + HEARTBEAT_INTERVAL;
         for w in 0..spec.pipeline.stages {
             sim.seed_at(
                 first,
@@ -1919,7 +1948,7 @@ pub(crate) fn execute_cluster(
         );
         if cfg.hedge_threshold.is_some() {
             sim.seed_at(
-                SimTime::ZERO + cfg.hedge_interval,
+                SimTime::ZERO + HEDGE_INTERVAL,
                 ClusterEv {
                     job: j,
                     ev: Ev::HedgeCheck,

@@ -9,9 +9,9 @@
 //!
 //! | rule | contract |
 //! |------|----------|
-//! | `no-wall-clock` | `Instant::now`/`SystemTime` only in `crates/rt` or under waiver |
+//! | `no-wall-clock` | `Instant::now`/`SystemTime` only under waiver |
 //! | `no-ambient-rng` | `thread_rng`/`rand::random`/`from_entropy`/`OsRng` banned everywhere |
-//! | `no-hash-collections` | `HashMap`/`HashSet` banned in sim-facing crates |
+//! | `no-hash-collections` | `HashMap`/`HashSet` banned everywhere |
 //! | `panic-discipline` | panic sites budgeted per crate by `lint-baseline.json`, ratcheting down |
 //! | `forbid-unsafe-everywhere` | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `non-exhaustive-vocabulary` | error/event vocabulary enums are `#[non_exhaustive]` |

@@ -11,7 +11,7 @@ use crate::lexer::{TokKind, Token};
 pub const NO_WALL_CLOCK: &str = "no-wall-clock";
 /// Rule: no ambient (unseeded) randomness anywhere.
 pub const NO_AMBIENT_RNG: &str = "no-ambient-rng";
-/// Rule: no iteration-order-unstable collections in sim-facing crates.
+/// Rule: no iteration-order-unstable collections.
 pub const NO_HASH_COLLECTIONS: &str = "no-hash-collections";
 /// Rule: panic sites in non-test code are budgeted per crate.
 pub const PANIC_DISCIPLINE: &str = "panic-discipline";
@@ -35,17 +35,6 @@ pub const KNOWN_RULES: [&str; 8] = [
     WAIVER_DISCIPLINE,
     VENDOR_INTEGRITY,
 ];
-
-/// Path prefixes where wall-clock reads are legitimate: the host runtime
-/// (`crates/rt` bridges simulated schedules onto real threads) is the one
-/// crate whose *job* is real time. Everything else needs a waiver — the
-/// obs wall-profiling seam in the orchestrator and the bench harness's
-/// wall-time measurements carry justified waivers at each site.
-const WALL_CLOCK_ALLOW: [&str; 1] = ["crates/rt/"];
-
-/// Path prefixes exempt from the hash-collection ban: only the host
-/// runtime, which never feeds data back into simulation state.
-const HASH_EXEMPT: [&str; 1] = ["crates/rt/"];
 
 /// The error/event vocabulary: public enums that cross the API boundary
 /// and grow variants release over release, so they must be
@@ -110,10 +99,6 @@ pub fn path_is_test_code(path: &str) -> bool {
 /// crate-wide `#![forbid(unsafe_code)]`.
 pub fn path_is_crate_root(path: &str) -> bool {
     path.ends_with("src/lib.rs") || path.ends_with("src/main.rs") || path.contains("/src/bin/")
-}
-
-fn allowed(path: &str, prefixes: &[&str]) -> bool {
-    prefixes.iter().any(|p| path.starts_with(p))
 }
 
 /// Computes the line ranges of `#[cfg(test)] mod name { … }` bodies so
@@ -204,14 +189,13 @@ fn skip_attr(code: &[Token], i: usize) -> Option<usize> {
 }
 
 /// `no-wall-clock`: `Instant::now` and any `SystemTime` use are banned
-/// outside the allowlist. The simulation's only clock is [`SimTime`];
-/// a wall-clock read anywhere in sim state is a nondeterminism hole.
+/// everywhere. The simulation's only clock is [`SimTime`]; a wall-clock
+/// read anywhere in sim state is a nondeterminism hole. The few sites
+/// that measure host time (the obs wall-profiling seam in the
+/// orchestrator, the bench harness) carry a justified waiver each.
 ///
 /// [`SimTime`]: https://docs.rs/freeride-sim
 pub fn no_wall_clock(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if allowed(ctx.path, &WALL_CLOCK_ALLOW) {
-        return;
-    }
     let code = ctx.code;
     for (i, tok) in code.iter().enumerate() {
         if tok.is_ident(ctx.src, "Instant") && matches_path_call(ctx.src, code, i, "now") {
@@ -271,15 +255,12 @@ pub fn no_ambient_rng(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
-/// `no-hash-collections`: `HashMap`/`HashSet` are banned in sim-facing
-/// crates. Their iteration order is randomized per process, so any state
-/// or output that ever iterates one diverges across runs; use `BTreeMap`/
+/// `no-hash-collections`: `HashMap`/`HashSet` are banned everywhere.
+/// Their iteration order is randomized per process, so any state or
+/// output that ever iterates one diverges across runs; use `BTreeMap`/
 /// `BTreeSet`, or waive with a reason explaining why iteration order can
 /// never observably leak.
 pub fn no_hash_collections(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if allowed(ctx.path, &HASH_EXEMPT) {
-        return;
-    }
     for tok in ctx.code {
         if tok.kind != TokKind::Ident {
             continue;
@@ -480,21 +461,9 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_allowlist_is_path_based() {
-        let src = "fn f() { let t = Instant::now(); }";
-        let code = code_tokens(src);
-        let mut findings = Vec::new();
-        no_wall_clock(&ctx_of("crates/core/src/x.rs", src, &code), &mut findings);
-        assert_eq!(findings.len(), 1);
-        findings.clear();
-        no_wall_clock(&ctx_of("crates/rt/src/lib.rs", src, &code), &mut findings);
-        assert!(findings.is_empty());
-    }
-
-    #[test]
     fn instant_elapsed_alone_is_not_flagged() {
         // Only the `::now` read is the violation; a passed-in Instant
-        // value (e.g. through an API boundary in rt) is not a *read*.
+        // value (e.g. through an API boundary) is not a *read*.
         let src = "fn f(t: Instant) -> Duration { t.elapsed() }";
         let code = code_tokens(src);
         let mut findings = Vec::new();
@@ -615,18 +584,6 @@ mod tests {
         let code = code_tokens(src);
         findings.clear();
         no_ambient_rng(&ctx_of("crates/sim/src/rng.rs", src, &code), &mut findings);
-        assert!(findings.is_empty());
-    }
-
-    #[test]
-    fn hash_collections_exempt_rt() {
-        let src = "use std::collections::HashMap;";
-        let code = code_tokens(src);
-        let mut findings = Vec::new();
-        no_hash_collections(&ctx_of("crates/core/src/x.rs", src, &code), &mut findings);
-        assert_eq!(findings.len(), 1);
-        findings.clear();
-        no_hash_collections(&ctx_of("crates/rt/src/lib.rs", src, &code), &mut findings);
         assert!(findings.is_empty());
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! Each fixture under `tests/fixtures/` is a deliberate positive or
 //! negative case. Fixtures are fed to [`analyze_source`] under synthetic
-//! repo-relative paths, because path placement (sim crate vs `crates/rt`,
-//! library vs `tests/`) is part of every rule's contract. The workspace
-//! walker never descends into `fixtures/` directories, so the deliberate
-//! violations here can never pollute the real report.
+//! repo-relative paths, because path placement (library vs `tests/`,
+//! crate root or not) is part of the panic and unsafe rules' contract.
+//! The workspace walker never descends into `fixtures/` directories, so
+//! the deliberate violations here can never pollute the real report.
 
 use freeride_lint::rules::{
     FORBID_UNSAFE, NON_EXHAUSTIVE_VOCAB, NO_AMBIENT_RNG, NO_HASH_COLLECTIONS, NO_WALL_CLOCK,
@@ -38,13 +38,6 @@ fn wall_clock_waivers_suppress() {
 }
 
 #[test]
-fn wall_clock_allowed_in_rt() {
-    let src = include_str!("fixtures/wall_clock_fires.rs");
-    let report = analyze_source("crates/rt/src/fixture.rs", src);
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-}
-
-#[test]
 fn ambient_rng_fires_on_all_forms_even_in_tests() {
     let src = include_str!("fixtures/ambient_rng_fires.rs");
     // The rule has no allowlist: a test path is just as much a violation.
@@ -72,13 +65,6 @@ fn hash_collections_fire_per_mention() {
     let report = analyze_source(SIM_PATH, src);
     // Three mentions each of HashMap and HashSet: use, signature, body.
     assert_eq!(rules_fired(&report), vec![NO_HASH_COLLECTIONS; 6]);
-}
-
-#[test]
-fn hash_collections_exempt_in_rt() {
-    let src = include_str!("fixtures/hash_collections_fires.rs");
-    let report = analyze_source("crates/rt/src/fixture.rs", src);
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
 #[test]

@@ -18,7 +18,6 @@
 //! | [`tasks`] | `freeride-tasks` | side-task workloads + profiles |
 //! | [`obs`] | `freeride-obs` | sim-time tracing, latency histograms, profiling |
 //! | [`core`] | `freeride-core` | the FreeRide middleware itself |
-//! | [`rt`] | `freeride-rt` | the middleware on real OS threads |
 //!
 //! ## Quickstart
 //!
@@ -50,7 +49,6 @@ pub use freeride_gpu as gpu;
 pub use freeride_obs as obs;
 pub use freeride_pipeline as pipeline;
 pub use freeride_rpc as rpc;
-pub use freeride_rt as rt;
 pub use freeride_sim as sim;
 pub use freeride_tasks as tasks;
 
@@ -63,9 +61,9 @@ pub struct ReadmeDoctests;
 /// The most commonly used types, for glob import.
 pub mod prelude {
     pub use freeride_core::{
-        evaluate, run_baseline, run_colocation, time_increase, AdaptiveAdmission, AdmissionControl,
-        BestFitMemory, BreakerState, Brownout, CircuitBreaker, Cluster, ClusterBuilder, ClusterJob,
-        ClusterReport, ClusterTaskHandle, ClusterView, ColocationMode, CostReport, DeadlineLayer,
+        evaluate, run_baseline, run_colocation, time_increase, AdmissionControl, BestFitMemory,
+        BreakerState, CircuitBreaker, Cluster, ClusterBuilder, ClusterJob, ClusterReport,
+        ClusterTaskHandle, ClusterView, ColocationMode, CostReport, DeadlineLayer,
         DeploymentReport, FailureDetector, FastestFit, FaultEvent, FaultKind, FaultPlan, FirstFit,
         FreeRideConfig, HealthReport, HealthState, HealthTransition, InterfaceKind, JobView,
         LatencyHistogram, LayerReport, LeastLoaded, MinTasksJob, Misbehavior, Next, Placement,

@@ -282,3 +282,70 @@ fn every_charged_step_runs_once_through_crashes_restores_and_hedges() {
     );
     assert_eq!(calls, 7278);
 }
+
+/// Four PageRank tasks on a four-epoch job with 1 s checkpoints, under
+/// `faults`.
+fn faulted_run(faults: FaultPlan) -> DeploymentReport {
+    let job = ClusterJob::new(pipeline(4))
+        .checkpoint(SimDuration::from_secs(1))
+        .faults(faults);
+    let mut cluster = Cluster::builder().job(job).cost_report(false).build();
+    for _ in 0..4 {
+        cluster
+            .submit_with(
+                Submission::new(WorkloadKind::PageRank),
+                SubmitOptions::new(),
+            )
+            .expect("PageRank fits");
+    }
+    cluster.run().jobs.remove(0)
+}
+
+/// Two overlapping windows of one fault kind on one worker must act as
+/// their union: the worker stays degraded until the last one closes.
+fn assert_acts_as_union(overlapping: FaultPlan, union: FaultPlan) -> DeploymentReport {
+    let (got, want) = (faulted_run(overlapping), faulted_run(union));
+    assert_eq!(format!("{:?}", got.tasks), format!("{:?}", want.tasks));
+    assert_eq!(got.recoveries, want.recoveries);
+    assert_eq!(got.total_time, want.total_time);
+    got
+}
+
+#[test]
+fn overlapping_crashes_keep_the_daemon_down_until_the_last_ends() {
+    let (at, secs) = (SimTime::from_millis, SimDuration::from_secs);
+    let run = assert_acts_as_union(
+        FaultPlan::new()
+            .crash_worker(at(4_000), 1, secs(2))
+            .crash_worker(at(5_000), 1, secs(3)),
+        FaultPlan::new().crash_worker(at(4_000), 1, secs(4)),
+    );
+    assert!(!run.recoveries.is_empty());
+    assert!(
+        run.recoveries.iter().all(|r| r.latency == secs(4)),
+        "restored when the daemon rejoins at 8.0 s: {:?}",
+        run.recoveries
+    );
+}
+
+#[test]
+fn overlapping_stragglers_keep_the_worker_slow_until_the_last_ends() {
+    let (at, secs) = (SimTime::from_millis, SimDuration::from_secs);
+    assert_acts_as_union(
+        FaultPlan::new()
+            .straggler(at(6_000), 2, 0.25, secs(4))
+            .straggler(at(7_000), 2, 0.25, secs(1)),
+        FaultPlan::new().straggler(at(6_000), 2, 0.25, secs(4)),
+    );
+}
+
+#[test]
+fn overlapping_rpc_spikes_keep_the_link_slow_until_the_last_ends() {
+    let (at, ms) = (SimTime::from_millis, SimDuration::from_millis);
+    assert_acts_as_union(
+        FaultPlan::new()
+            .rpc_spike(at(5_000), 3, ms(40), ms(3_000))
+            .rpc_spike(at(5_500), 3, ms(40), ms(1_000)),
+        FaultPlan::new().rpc_spike(at(5_000), 3, ms(40), ms(3_000)),
+    );
+}

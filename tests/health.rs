@@ -1,8 +1,7 @@
 //! End-to-end health-subsystem tests: the chaos layer's fault trace
 //! replayed with a supervisor armed, asserting that detection runs on
 //! schedule, supervised migrations are attributed distinctly from
-//! rejoin restores, hedge races cancel their losers, and the adaptive
-//! overload layers shed deterministically.
+//! rejoin restores, and hedge races cancel their losers.
 
 use freeride::prelude::*;
 
@@ -145,67 +144,4 @@ fn supervision_out_harvests_the_reactive_baseline() {
     let again = run_cell(Some(SupervisorConfig::new().hedge(0.5)));
     assert_eq!(supervised.health, again.health);
     assert_eq!(supervised.total_steps(), again.total_steps());
-}
-
-#[test]
-fn adaptive_admission_sheds_a_burst_at_its_cap() {
-    let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(2);
-    let mut cluster = Cluster::builder()
-        .job(ClusterJob::new(pipeline))
-        // A floor of 0 disables the multiplicative decrease, so the cap
-        // is pinned to 2 by the bounds alone.
-        .layer(
-            AdaptiveAdmission::new(SimDuration::from_secs(60))
-                .bounds(1.0, 2.0)
-                .pressure_floor(0.0),
-        )
-        .cost_report(false)
-        .build();
-    // The first two admissions pass, the rest of the burst sheds with a
-    // typed Overloaded.
-    for _ in 0..2 {
-        cluster
-            .submit_with(
-                Submission::new(WorkloadKind::PageRank),
-                SubmitOptions::new(),
-            )
-            .expect("under the cap");
-    }
-    for _ in 0..2 {
-        let err = cluster
-            .submit_with(
-                Submission::new(WorkloadKind::PageRank),
-                SubmitOptions::new(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, SubmitError::Overloaded { limit: 2, .. }));
-        assert_eq!(err.kind(), "overloaded");
-    }
-}
-
-#[test]
-fn brownout_sheds_the_lowest_priority_tenant_first() {
-    let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(2);
-    let mut cluster = Cluster::builder()
-        .job(ClusterJob::new(pipeline))
-        // Bubble memory never covers the whole device, so a floor of 1.0
-        // reads as sustained pressure from the first submission on.
-        .layer(Brownout::new(1.0, 1, ["batch", "interactive"]))
-        .cost_report(false)
-        .build();
-    // The first submission raises the brownout level to one tenant:
-    // "batch" is browned out, higher-priority tenants still pass.
-    let err = cluster
-        .submit_with(
-            Submission::new(WorkloadKind::PageRank),
-            SubmitOptions::new().tenant("batch"),
-        )
-        .unwrap_err();
-    assert!(matches!(err, SubmitError::Overloaded { .. }));
-    cluster
-        .submit_with(
-            Submission::new(WorkloadKind::PageRank),
-            SubmitOptions::new().tenant("paid"),
-        )
-        .expect("un-shed tenants ride out the brownout");
 }

@@ -21,6 +21,18 @@
 //! and letting side tasks run continuously under the corresponding device
 //! sharing model.
 //!
+//! A well-behaved iterative side task stepping alone on its GPU costs no
+//! events per step. The bubble end it learned with `StartSideTask` and its
+//! remaining-time check before every step (§4.5) fix its steps until the
+//! bubble closes, so its worker keeps them as a *deferred run*
+//! ([`Worker::catch_up`]). A handler that changes the worker or its
+//! device first catches the run up to `now` and puts what it still owes
+//! back on the queue; handlers that only read step counts catch up and
+//! leave the run deferred. Only `events_processed` and the order trace
+//! events are emitted in differ from stepping event by event, given one
+//! rule for ties: a touch on the nanosecond of a step boundary sees the
+//! boundary applied first.
+//!
 //! Side tasks arrive **online**: each submission carries an arrival time,
 //! and arrivals after t = 0 are simulation events that feed
 //! [`SideTaskManager::submit`] mid-run — the task is placed by
@@ -41,7 +53,7 @@ use crate::manager::{ManagerCmd, SideTaskManager, SubmitError};
 use crate::metrics::BubbleBreakdown;
 use crate::state::SideTaskState;
 use crate::task::{Misbehavior, SideTask, StopReason, TaskId};
-use crate::worker::{Worker, WorkerEffect};
+use crate::worker::{PendingStep, Worker, WorkerEffect};
 use freeride_gpu::{GpuDevice, GpuId, MemBytes, ProcessId, SharingKind};
 use freeride_obs::{
     ProfileCollector, ProfileReport, Subsystem, TraceEvent, TraceEventKind, TraceHandle,
@@ -308,6 +320,32 @@ impl JobRuntime {
         let (at, env) = bus.send(now, from, to, msg);
         let ev = self.ev(Ev::Deliver(env));
         s.schedule_at(at, ev);
+    }
+
+    /// Readies worker `wi` for a handler that changes it or its device:
+    /// catches its deferred run up to `now` and puts what the run still
+    /// owes back on the queue, so the handler meets the state stepping
+    /// event by event would have left. Step boundaries at `now` itself
+    /// are applied first, whatever order their events would have been
+    /// queued in.
+    fn touch(&mut self, now: SimTime, wi: usize, s: &mut Scheduler<'_, ClusterEv>) {
+        self.workers[wi].catch_up(now, &mut self.devices[wi]);
+        match self.workers[wi].undefer() {
+            Some(PendingStep::Launch(task, at)) => {
+                let ev = self.ev(Ev::StepLaunch { worker: wi, task });
+                s.schedule_at(at, ev);
+            }
+            Some(PendingStep::InFlight) => self.resync_device(wi, s),
+            None => {}
+        }
+    }
+
+    /// Catches every worker's deferred run up to `now` and leaves it
+    /// deferred: for handlers that only read step counts.
+    fn catch_up_all(&mut self, now: SimTime) {
+        for (worker, device) in self.workers.iter_mut().zip(&mut self.devices) {
+            worker.catch_up(now, device);
+        }
     }
 
     fn resync_device(&mut self, g: usize, s: &mut Scheduler<'_, ClusterEv>) {
@@ -653,6 +691,9 @@ impl JobRuntime {
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         let fault = self.faults[idx].kind;
+        if let Some(w) = fault.worker() {
+            self.touch(now, w, s);
+        }
         self.emit_with(now, fault.worker(), || TraceEventKind::FaultBegin {
             fault: fault.label(),
         });
@@ -759,6 +800,9 @@ impl JobRuntime {
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         let fault = self.faults[idx].kind;
+        if let Some(w) = fault.worker() {
+            self.touch(now, w, s);
+        }
         self.emit_with(now, fault.worker(), || TraceEventKind::FaultEnd {
             fault: fault.label(),
         });
@@ -966,6 +1010,7 @@ impl JobRuntime {
         if self.finished() {
             return; // run is draining — stop rescheduling
         }
+        self.catch_up_all(now);
         let mut snapped: u64 = 0;
         for w in &self.workers {
             for t in w.tasks() {
@@ -1080,6 +1125,7 @@ impl JobRuntime {
         bus: &mut RpcBus,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
+        self.catch_up_all(now);
         // Progress of every live, original-id task (restored incarnations
         // and duplicates sit in the reserved high id range and never
         // trigger a second hedge).
@@ -1168,6 +1214,7 @@ impl JobRuntime {
         if self.hedges.is_empty() {
             return;
         }
+        self.catch_up_all(now);
         let worker_of: BTreeMap<TaskId, usize> = self
             .placements
             .iter()
@@ -1262,8 +1309,13 @@ impl JobRuntime {
                     s.schedule_at(at, ev);
                 }
                 WorkerEffect::ScheduleStepLaunch { task, at } => {
-                    let ev = self.ev(Ev::StepLaunch { worker, task });
-                    s.schedule_at(at, ev);
+                    // A lone well-behaved step's successors follow by
+                    // arithmetic until the bubble closes: the worker
+                    // computes them when something touches it.
+                    if !self.workers[worker].defer(task, at, &self.devices[worker]) {
+                        let ev = self.ev(Ev::StepLaunch { worker, task });
+                        s.schedule_at(at, ev);
+                    }
                 }
                 WorkerEffect::ScheduleGraceCheck {
                     task,
@@ -1289,6 +1341,7 @@ impl JobRuntime {
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         let wi = cmd_worker(&cmd);
+        self.touch(now, wi, s);
         // A command racing a daemon crash: the task died with its worker's
         // daemon, so the in-flight RPC is void. (Never fires on fault-free
         // runs — `WorkerLost` is only ever set by a crash fault.)
@@ -1347,6 +1400,7 @@ impl JobRuntime {
     ) {
         match event {
             Ev::LaunchOp(stage) => {
+                self.touch(now, stage, s);
                 let actions = self.engine.launch_due(now, stage, &mut self.devices);
                 self.apply_engine_actions(now, actions, bus, s);
                 self.resync_device(stage, s);
@@ -1358,6 +1412,7 @@ impl JobRuntime {
             }
             Ev::DeviceTick(g) => {
                 self.tick_ids[g] = None;
+                self.touch(now, g, s);
                 self.drain_device(now, g, bus, s);
                 self.resync_device(g, s);
                 self.record_device(now, g);
@@ -1431,6 +1486,7 @@ impl JobRuntime {
                 task,
                 requested_at,
             } => {
+                self.touch(now, worker, s);
                 let fx = self.workers[worker].grace_check(
                     now,
                     task,

@@ -188,11 +188,11 @@ impl SideTask {
             .unwrap_or_else(|e| panic!("{}: {e}", self.id))
     }
 
-    /// Counts one completed step; its computation waits for
+    /// Counts `n` completed steps; their computation waits for
     /// [`SideTask::settle`].
-    pub(crate) fn charge_step(&mut self) {
-        self.steps += 1;
-        self.unsettled += 1;
+    pub(crate) fn charge_steps(&mut self, n: u64) {
+        self.steps += n;
+        self.unsettled += n;
     }
 
     /// Computes the charged steps in one batch

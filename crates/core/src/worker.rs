@@ -6,8 +6,13 @@
 //! implementation of §4.2), and enforces the GPU resource limits of §4.5 —
 //! the *program-directed* remaining-time check for the iterative interface
 //! and the *framework-enforced* grace-period `SIGKILL` for everything else.
+//!
+//! Steps are driven by the orchestrator's events, one launch and one
+//! completion each, except while a well-behaved iterative task steps
+//! alone on its GPU: the worker then keeps the steps as a deferred run
+//! and computes them, the same ones, when [`Worker::catch_up`] is called.
 
-use crate::config::{FreeRideConfig, InterfaceKind};
+use crate::config::{ColocationMode, FreeRideConfig, InterfaceKind};
 use crate::state::{SideTaskState, Transition};
 use crate::task::{Misbehavior, SideTask, StopReason, TaskId};
 use freeride_gpu::{ContainerRegistry, GpuDevice, KernelSpec, Priority, ProcessState};
@@ -67,6 +72,28 @@ struct ServingState {
     insufficient_from: Option<SimTime>,
 }
 
+/// Steps of a task stepping alone on its GPU that the orchestrator queues
+/// no events for: the bubble end learned with `StartSideTask` and the
+/// remaining-time check before each step (§4.2, §4.5) fix every one of
+/// them. [`Worker::catch_up`] computes them when something needs them.
+#[derive(Clone, Copy)]
+struct DeferredRun {
+    task: TaskId,
+    /// The next step launch; `None` while a launched step's kernel is in
+    /// flight.
+    launch_at: Option<SimTime>,
+}
+
+/// What a deferred run still owes when it ends ([`Worker::undefer`]), for
+/// the orchestrator to queue as an ordinary event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PendingStep {
+    /// A step launch due at this instant ([`Worker::step_launch_due`]).
+    Launch(TaskId, SimTime),
+    /// A step kernel in flight on the device.
+    InFlight,
+}
+
 /// A per-GPU side-task worker.
 pub struct Worker {
     stage: usize,
@@ -80,6 +107,8 @@ pub struct Worker {
     active: BTreeMap<TaskId, (SimTime, SimDuration)>,
     /// Pause received while a kernel was in flight (iterative semantics).
     pending_pause: Option<(TaskId, SimTime)>,
+    /// The run of steps computed on catch-up instead of by queue events.
+    deferred: Option<DeferredRun>,
     accounting: WorkerAccounting,
     /// Trace sink and owning job index, when tracing is armed.
     tracer: Option<(TraceHandle, usize)>,
@@ -96,6 +125,7 @@ impl Worker {
             serving: None,
             active: BTreeMap::new(),
             pending_pause: None,
+            deferred: None,
             accounting: WorkerAccounting::default(),
             tracer: None,
         }
@@ -145,6 +175,10 @@ impl Worker {
     /// only here; the run report settles every worker once, when training
     /// ends, before it reads any task.
     pub fn settle(&mut self) {
+        debug_assert!(
+            self.deferred.is_none(),
+            "a deferred run outlived its bubble"
+        );
         for task in self.tasks.values_mut() {
             task.settle();
         }
@@ -363,22 +397,20 @@ impl Worker {
             return Vec::new(); // kernel of a task killed meanwhile
         };
         self.accounting.running += solo;
+        let Some(task) = self.tasks.get_mut(&id).filter(|t| !t.is_stopped()) else {
+            return Vec::new();
+        };
 
         // Account completed work: the iterative interface runs whole
         // steps; the imperative interface runs kernel quanta that add up
         // to steps.
-        let step_gap = self.cfg.step_gap;
-        let task = self.tasks.get_mut(&id).expect("step for unknown task");
-        if task.is_stopped() {
-            return Vec::new();
-        }
         match task.interface {
-            InterfaceKind::Iterative => task.charge_step(),
+            InterfaceKind::Iterative => task.charge_steps(1),
             InterfaceKind::Imperative => {
                 task.sub_progress += solo;
                 while task.sub_progress >= task.profile.step_server1 {
                     task.sub_progress -= task.profile.step_server1;
-                    task.charge_step();
+                    task.charge_steps(1);
                 }
             }
         }
@@ -387,54 +419,57 @@ impl Worker {
             task.transition(now, Transition::RunNextStep);
         }
         let steps = task.steps;
-        self.emit(now, || TraceEventKind::StepEnd { task: id.0, steps });
 
         // Failure injection.
-        let task = self.tasks.get_mut(&id).expect("known");
-        match task.misbehavior {
-            Misbehavior::LeakMemory { per_step } => {
-                let pid = task.pid.expect("running task has a pid");
-                if device.alloc(pid, per_step).is_err() {
-                    // Exceeded the MPS cap: the process gets an OOM error
-                    // and is terminated; training is unaffected
-                    // (Fig. 8(b)).
-                    return self.kill(now, id, StopReason::KilledOom, device);
+        let fault = match task.misbehavior {
+            Misbehavior::LeakMemory { per_step } => match task.pid {
+                Some(pid) if device.alloc(pid, per_step).is_ok() => {
+                    task.leaked += per_step;
+                    None
                 }
-                task.leaked += per_step;
-            }
-            Misbehavior::CrashAfter { steps } if task.steps >= steps => {
-                return self.kill(now, id, StopReason::Crashed, device);
-            }
-            _ => {}
-        }
+                // Exceeded the MPS cap: the process gets an OOM error and
+                // is terminated; training is unaffected (Fig. 8(b)).
+                Some(_) => Some(StopReason::KilledOom),
+                None => None,
+            },
+            Misbehavior::CrashAfter { steps } if task.steps >= steps => Some(StopReason::Crashed),
+            _ => None,
+        };
 
         // Deferred iterative pause.
-        if let Some((pending_id, requested)) = self.pending_pause {
-            if pending_id == id {
-                self.pending_pause = None;
-                let task = self.tasks.get_mut(&id).expect("known");
-                task.transition(now, Transition::PauseSideTask);
-                task.record_paused(now.max(requested));
-                self.finish_bubble_accounting(now, id);
-                return vec![WorkerEffect::Ack {
-                    task: id,
-                    state: SideTaskState::Paused,
-                }];
-            }
+        let pause = self
+            .pending_pause
+            .filter(|&(pending, _)| pending == id && fault.is_none());
+        if let Some((_, requested)) = pause {
+            task.transition(now, Transition::PauseSideTask);
+            task.record_paused(now.max(requested));
+        }
+        let running = task.state() == SideTaskState::Running;
+        let interface = task.interface;
+        self.emit(now, || TraceEventKind::StepEnd { task: id.0, steps });
+        if let Some(reason) = fault {
+            return self.kill(now, id, reason, device);
+        }
+        if pause.is_some() {
+            self.pending_pause = None;
+            self.finish_bubble_accounting(now, id);
+            return vec![WorkerEffect::Ack {
+                task: id,
+                state: SideTaskState::Paused,
+            }];
         }
 
         // Keep stepping while RUNNING.
-        let task = self.tasks.get(&id).expect("known");
-        if task.state() != SideTaskState::Running {
+        if !running {
             return Vec::new();
         }
-        match task.interface {
+        match interface {
             InterfaceKind::Iterative => {
                 // The interface polls for transitions between steps: model
                 // that bookkeeping as a short gap before the next launch.
                 vec![WorkerEffect::ScheduleStepLaunch {
                     task: id,
-                    at: now + step_gap,
+                    at: now + self.cfg.step_gap,
                 }]
             }
             InterfaceKind::Imperative => {
@@ -470,7 +505,9 @@ impl Worker {
     /// tasks never check — that is what the framework-enforced mechanism
     /// is for.
     fn try_launch_step(&mut self, now: SimTime, id: TaskId, device: &mut GpuDevice) {
-        let task = self.tasks.get(&id).expect("known task");
+        let Some(task) = self.tasks.get(&id) else {
+            return;
+        };
         let check = task.interface == InterfaceKind::Iterative
             && task.misbehavior != Misbehavior::IgnorePause;
         if check {
@@ -491,8 +528,9 @@ impl Worker {
     }
 
     fn launch_step(&mut self, now: SimTime, id: TaskId, device: &mut GpuDevice) {
-        let task = self.tasks.get(&id).expect("known task");
-        let pid = task.pid.expect("running task has a pid");
+        let Some((task, pid)) = self.tasks.get(&id).and_then(|t| t.pid.map(|pid| (t, pid))) else {
+            return;
+        };
         let solo = match task.interface {
             InterfaceKind::Iterative => task.profile.step_server1,
             InterfaceKind::Imperative => task.profile.imperative_kernel_quantum(),
@@ -514,6 +552,148 @@ impl Worker {
                 // Process died between scheduling and launch: drop.
             }
         }
+    }
+
+    /// Takes over the step launch [`Worker::on_step_complete`] asked for
+    /// as a deferred run instead of a queue event, when the steps until
+    /// the bubble closes are fixed by arithmetic: FreeRide mode, the
+    /// iterative interface, a well-behaved task, a positive inter-step
+    /// gap and no other kernel on the device. Returns whether it did; if
+    /// not, the caller queues the launch.
+    pub(crate) fn defer(&mut self, task: TaskId, launch_at: SimTime, device: &GpuDevice) -> bool {
+        let lone = matches!(self.cfg.mode, ColocationMode::FreeRide(_))
+            && !self.cfg.step_gap.is_zero()
+            && device.active_kernels() == 0
+            && self.tasks.get(&task).is_some_and(|t| {
+                t.interface == InterfaceKind::Iterative && t.misbehavior == Misbehavior::None
+            });
+        if lone {
+            self.deferred = Some(DeferredRun {
+                task,
+                launch_at: Some(launch_at),
+            });
+        }
+        lone
+    }
+
+    /// Computes the deferred run's steps up to `now`, every step boundary
+    /// at `now` included: a touch that lands on the nanosecond of a
+    /// boundary sees the boundary applied first. The first launch and
+    /// completion go through the calls the queue would make, which
+    /// measures the lone kernel's duration; the whole step cycles after
+    /// them are charged in closed form; the partial tail goes through the
+    /// calls again. The run stays deferred until [`Worker::undefer`].
+    pub(crate) fn catch_up(&mut self, now: SimTime, device: &mut GpuDevice) {
+        let mut kernel = None;
+        while let Some(run) = self.deferred {
+            let Some(at) = run.launch_at else {
+                let Some(&(launched, _)) = self.active.get(&run.task) else {
+                    self.deferred = None;
+                    return;
+                };
+                let Some(done) = device.next_completion_time().filter(|&t| t <= now) else {
+                    return;
+                };
+                device.advance_through(done);
+                let fx = self.on_step_complete(done, run.task, device);
+                self.deferred = match fx.as_slice() {
+                    [WorkerEffect::ScheduleStepLaunch { at, .. }] => Some(DeferredRun {
+                        launch_at: Some(*at),
+                        ..run
+                    }),
+                    _ => None,
+                };
+                kernel = Some(done - launched);
+                continue;
+            };
+            if at > now {
+                return;
+            }
+            if let Some(kernel) = kernel.take() {
+                if self.skip_cycles(run.task, at, kernel, now, device) {
+                    continue;
+                }
+            }
+            self.step_launch_due(at, run.task, device);
+            // A launch the remaining-time check refused ends the run.
+            self.deferred = self.active.contains_key(&run.task).then_some(DeferredRun {
+                launch_at: None,
+                ..run
+            });
+        }
+    }
+
+    /// Charges in closed form the whole step cycles from the launch at
+    /// `at` on, each a lone kernel of duration `kernel` and the inter-step
+    /// gap: as many as both pass the remaining-time check at launch and
+    /// complete by `now`. Leaves the task, the accounting, the device and
+    /// the trace where stepping through them would. Returns whether it
+    /// charged any.
+    fn skip_cycles(
+        &mut self,
+        id: TaskId,
+        at: SimTime,
+        kernel: SimDuration,
+        now: SimTime,
+        device: &mut GpuDevice,
+    ) -> bool {
+        let (Some(serving), Some(task)) = (
+            self.serving.as_ref().filter(|s| s.task == id),
+            self.tasks.get_mut(&id),
+        ) else {
+            return false;
+        };
+        let solo = task.profile.step_server1;
+        let needed = device.scaled_duration(solo) + self.cfg.step_safety_margin;
+        let gap = self.cfg.step_gap;
+        let period = (kernel + gap).as_nanos();
+        // Cycle k launches at `at + k·period` and completes `kernel` later.
+        let launches = if needed.is_zero() {
+            u64::MAX
+        } else {
+            match serving.bubble_end.checked_since(at) {
+                Some(room) if room >= needed => (room - needed).as_nanos() / period + 1,
+                _ => 0,
+            }
+        };
+        let completions = now
+            .checked_since(at + kernel)
+            .map_or(0, |span| span.as_nanos() / period + 1);
+        let n = launches.min(completions);
+        if n == 0 {
+            return false;
+        }
+        let first = task.steps;
+        task.charge_steps(n);
+        self.accounting.running += solo * n;
+        let last_done = at + SimDuration::from_nanos((n - 1) * period) + kernel;
+        device.skip_solo_kernels(n, last_done);
+        if self.tracer.is_some() {
+            for k in 0..n {
+                let launch = at + SimDuration::from_nanos(k * period);
+                self.emit(launch, || TraceEventKind::StepBegin { task: id.0 });
+                let steps = first + k + 1;
+                self.emit(launch + kernel, || TraceEventKind::StepEnd {
+                    task: id.0,
+                    steps,
+                });
+            }
+        }
+        self.deferred = Some(DeferredRun {
+            task: id,
+            launch_at: Some(last_done + gap),
+        });
+        true
+    }
+
+    /// Ends the deferred run and hands back what it still owes, for the
+    /// caller to queue.
+    pub(crate) fn undefer(&mut self) -> Option<PendingStep> {
+        let run = self.deferred.take()?;
+        Some(match run.launch_at {
+            Some(at) => PendingStep::Launch(run.task, at),
+            None => PendingStep::InFlight,
+        })
     }
 
     fn finish_bubble_accounting(&mut self, now: SimTime, id: TaskId) {
@@ -561,6 +741,9 @@ impl Worker {
         if self.pending_pause.is_some_and(|(t, _)| t == id) {
             self.pending_pause = None;
         }
+        if self.deferred.is_some_and(|r| r.task == id) {
+            self.deferred = None;
+        }
         self.emit(now, || TraceEventKind::TaskStopped {
             task: id.0,
             reason: reason.label(),
@@ -596,6 +779,7 @@ impl Worker {
 mod tests {
     use super::*;
     use freeride_gpu::{GpuId, MemBytes, MpsPrioritized};
+    use freeride_sim::TraceRecorder;
     use freeride_tasks::WorkloadKind;
 
     fn device() -> GpuDevice {
@@ -628,7 +812,11 @@ mod tests {
 
     /// Drives a task to PAUSED; returns its id.
     fn readied(w: &mut Worker, d: &mut GpuDevice, interface: InterfaceKind) -> TaskId {
-        let task = make_task(1, interface);
+        ready(w, d, make_task(1, interface))
+    }
+
+    /// Drives `task` to PAUSED; returns its id.
+    fn ready(w: &mut Worker, d: &mut GpuDevice, task: SideTask) -> TaskId {
         let id = task.id;
         let fx = w.handle_create(t(0), task, d);
         assert_eq!(
@@ -946,5 +1134,273 @@ mod tests {
         assert_eq!(w.task(id).unwrap().steps, 5);
         w.settle();
         assert_eq!(w.task(id).unwrap().workload.steps_done(), 5);
+    }
+
+    /// A user-supplied sharing model under which even a lone kernel runs
+    /// below full speed.
+    struct Throttled(f64);
+
+    impl freeride_gpu::InterferenceModel for Throttled {
+        fn speeds_into(&self, kernels: &[freeride_gpu::KernelCtx], out: &mut Vec<f64>) {
+            out.extend(kernels.iter().map(|_| self.0));
+        }
+
+        fn name(&self) -> &'static str {
+            "throttled"
+        }
+    }
+
+    /// One bubble of a lone iterative task: its step on the reference GPU,
+    /// the inter-step gap, the bubble's room beyond the first step's
+    /// remaining-time check, the device's compute speed and the speed the
+    /// sharing model gives a lone kernel.
+    #[derive(Debug, Clone, Copy)]
+    struct Bubble {
+        step: SimDuration,
+        gap: SimDuration,
+        room: SimDuration,
+        compute_speed: f64,
+        model_speed: f64,
+    }
+
+    const START: SimTime = SimTime::from_millis(1000);
+
+    struct Lone {
+        w: Worker,
+        d: GpuDevice,
+        id: TaskId,
+        sink: std::sync::Arc<std::sync::Mutex<freeride_obs::SimTracer>>,
+        /// The launch the last completion asked for, not yet made.
+        launch: Option<SimTime>,
+    }
+
+    /// A traced worker whose task has just started the bubble and
+    /// launched its first step.
+    fn lone(b: Bubble) -> Lone {
+        let mut d = GpuDevice::new(
+            GpuId(0),
+            MemBytes::from_gib(48),
+            Box::new(Throttled(b.model_speed)),
+        )
+        .with_compute_speed(b.compute_speed);
+        let mut cfg = FreeRideConfig::iterative();
+        cfg.step_gap = b.gap;
+        let mut w = Worker::new(0, cfg);
+        let sink = freeride_obs::SimTracer::shared();
+        w.set_tracer(TraceHandle::new(sink.clone()), 0);
+        let mut task = make_task(1, InterfaceKind::Iterative);
+        task.profile.step_server1 = b.step;
+        let id = ready(&mut w, &mut d, task);
+        let needed = d.scaled_duration(b.step) + w.cfg.step_safety_margin;
+        w.handle_start(START, id, START + needed + b.room, &mut d);
+        assert_eq!(d.active_kernels(), 1, "the first step fits");
+        Lone {
+            w,
+            d,
+            id,
+            sink,
+            launch: None,
+        }
+    }
+
+    impl Lone {
+        /// Steps by hand through every boundary up to `until`, as the
+        /// queue does: a completion, then the launch it asks for.
+        /// Samples `gpu0.mem` after each completion into `mem`, as the
+        /// orchestrator's device tick does, and returns the boundaries.
+        fn drive(&mut self, until: SimTime, mem: &mut TraceRecorder) -> Vec<SimTime> {
+            let mut boundaries = Vec::new();
+            loop {
+                if let Some(at) = self.launch.filter(|&at| at <= until) {
+                    self.launch = None;
+                    self.w.step_launch_due(at, self.id, &mut self.d);
+                    boundaries.push(at);
+                }
+                let Some(done) = self.d.next_completion_time().filter(|&t| t <= until) else {
+                    return boundaries;
+                };
+                assert_eq!(self.d.advance_through(done).len(), 1);
+                let fx = self.w.on_step_complete(done, self.id, &mut self.d);
+                mem.record("gpu0.mem", done, self.d.used_mem().as_gib_f64());
+                boundaries.push(done);
+                if let [WorkerEffect::ScheduleStepLaunch { at, .. }] = fx[..] {
+                    self.launch = Some(at);
+                }
+            }
+        }
+
+        /// Completes the first step by hand and defers the rest.
+        fn defer_after_first_step(&mut self, mem: &mut TraceRecorder) {
+            let done = self.d.next_completion_time().unwrap();
+            self.d.advance_through(done);
+            let fx = self.w.on_step_complete(done, self.id, &mut self.d);
+            mem.record("gpu0.mem", done, self.d.used_mem().as_gib_f64());
+            let [WorkerEffect::ScheduleStepLaunch { at, .. }] = fx[..] else {
+                panic!("expected a step launch, got {fx:?}");
+            };
+            assert!(self.w.defer(self.id, at, &self.d), "a lone step defers");
+        }
+
+        /// Everything a run of steps leaves behind, at the current instant.
+        fn state(&self) -> (u64, SimDuration, Option<SimTime>, SimTime, usize, MemBytes) {
+            (
+                self.w.task(self.id).unwrap().steps,
+                self.w.accounting().running,
+                self.w.serving.as_ref().and_then(|s| s.insufficient_from),
+                self.d.clock(),
+                self.d.active_kernels(),
+                self.d.used_mem(),
+            )
+        }
+    }
+
+    /// Drives one bubble by hand and again deferred after its first step,
+    /// caught up at each instant `touches` picks from the stepped run's
+    /// boundaries (which it gets in time order, the first step's
+    /// completion first). Steps, accounting, the remaining-time check,
+    /// the device and the trace must agree at every touch from that
+    /// completion on, and once the bubble is over and the task paused.
+    fn assert_catch_up_matches_stepping(
+        b: Bubble,
+        touches: impl FnOnce(&[SimTime]) -> Vec<SimTime>,
+    ) {
+        let mut scout = lone(b);
+        let boundaries = scout.drive(SimTime::MAX, &mut TraceRecorder::new());
+        let end = boundaries.last().copied().unwrap_or(START) + SimDuration::from_millis(1);
+        let mut touches = touches(&boundaries);
+        touches.sort();
+
+        let (mut stepped, mut deferred) = (lone(b), lone(b));
+        let (mut stepped_mem, mut deferred_mem) = (TraceRecorder::new(), TraceRecorder::new());
+        deferred.defer_after_first_step(&mut deferred_mem);
+        for &at in touches
+            .iter()
+            .filter(|&&at| boundaries[0] <= at && at < end)
+        {
+            stepped.drive(at, &mut stepped_mem);
+            deferred.w.catch_up(at, &mut deferred.d);
+            assert_eq!(
+                stepped.state(),
+                deferred.state(),
+                "caught up at {at} in {b:?}"
+            );
+        }
+        stepped.drive(end, &mut stepped_mem);
+        deferred.w.catch_up(end, &mut deferred.d);
+        assert_eq!(deferred.w.undefer(), None, "the failing check ends the run");
+        for lone in [&mut stepped, &mut deferred] {
+            lone.w.handle_pause(end, lone.id, &mut lone.d);
+        }
+        deferred_mem.record("gpu0.mem", end, deferred.d.used_mem().as_gib_f64());
+        stepped_mem.record("gpu0.mem", end, stepped.d.used_mem().as_gib_f64());
+
+        assert_eq!(stepped.state(), deferred.state(), "{b:?}");
+        let acc = |l: &Lone| (l.w.accounting().running, l.w.accounting().insufficient);
+        assert_eq!(acc(&stepped), acc(&deferred));
+        // Memory cannot change inside the run: every sample stepping
+        // takes there is one `Series::record` drops.
+        let samples = |r: &TraceRecorder| r.series("gpu0.mem").unwrap().samples().to_vec();
+        assert_eq!(samples(&stepped_mem), samples(&deferred_mem));
+        let events = |l: &Lone| l.sink.lock().unwrap().events().to_vec();
+        assert_eq!(events(&stepped), events(&deferred));
+        // The next kernel gets the same id.
+        let probe = |l: &mut Lone| {
+            let pid = l.w.task(l.id).unwrap().pid.unwrap();
+            let spec = KernelSpec::new(pid, b.step, 0.5, Priority::Low, "probe");
+            l.d.launch(end, spec)
+        };
+        assert_eq!(probe(&mut stepped), probe(&mut deferred));
+    }
+
+    fn us(v: u64) -> SimDuration {
+        SimDuration::from_micros(v)
+    }
+
+    #[test]
+    fn a_daemon_crash_drops_a_run_deferred_at_its_instant() {
+        // A fault handler drains the device before the crash, so the
+        // step completing at the crash instant defers the next launch,
+        // then the crash kills the task: nothing is left to catch up.
+        let mut l = lone(Bubble {
+            step: us(2_000),
+            gap: us(300),
+            room: SimDuration::from_millis(50),
+            compute_speed: 1.0,
+            model_speed: 1.0,
+        });
+        l.defer_after_first_step(&mut TraceRecorder::new());
+        let now = l.d.clock();
+        assert_eq!(l.w.crash(now, &mut l.d), vec![l.id]);
+        assert_eq!(l.w.undefer(), None);
+        l.w.settle();
+    }
+
+    #[test]
+    fn catch_up_on_a_launch_or_a_completion_instant_matches_stepping() {
+        let b = Bubble {
+            step: WorkloadKind::ResNet18.profile().step_server1,
+            gap: us(300),
+            room: SimDuration::from_millis(400),
+            compute_speed: 1.0,
+            model_speed: 1.0,
+        };
+        // Boundaries alternate completion, launch, … from the first
+        // step's completion on.
+        assert_catch_up_matches_stepping(b, |bs| vec![bs[4], bs[7]]);
+        assert_catch_up_matches_stepping(b, |bs| vec![bs[1], bs[2], bs[9]]);
+        assert_catch_up_matches_stepping(b, |bs| vec![bs[bs.len() - 1]]);
+        assert_catch_up_matches_stepping(b, |_| Vec::new());
+    }
+
+    #[test]
+    fn catch_up_matches_stepping_on_a_slow_throttled_device() {
+        let b = Bubble {
+            step: us(7_919),
+            gap: us(13),
+            room: SimDuration::from_millis(400),
+            compute_speed: 0.37,
+            model_speed: 0.61,
+        };
+        assert_catch_up_matches_stepping(b, |bs| {
+            let mid = |i: usize| bs[i] + SimDuration::from_nanos(1);
+            vec![bs[3], mid(3), mid(6), bs[bs.len() - 2]]
+        });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Closed-form catch-up at random instants, boundaries among them,
+        /// equals stepping one boundary at a time, for any step time,
+        /// bubble length, hetero compute speed, straggler factor and
+        /// lone-kernel speed.
+        #[test]
+        fn catch_up_matches_stepping(
+            step in 50u64..40_000,
+            gap in 1u64..2_000,
+            room in 0u64..100_000,
+            base in 25u64..=400,
+            straggler in 10u64..=100,
+            model in 10u64..=100,
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..6),
+        ) {
+            let b = Bubble {
+                step: us(step),
+                gap: us(gap),
+                room: us(room),
+                compute_speed: base as f64 / 100.0 * (straggler as f64 / 100.0),
+                model_speed: model as f64 / 100.0,
+            };
+            assert_catch_up_matches_stepping(b, |bs| {
+                let span = bs[bs.len() - 1].saturating_since(bs[0]).as_nanos() + 2;
+                picks
+                    .iter()
+                    .map(|&p| match p % 2 {
+                        0 => bs[(p / 2) as usize % bs.len()],
+                        _ => bs[0] + SimDuration::from_nanos((p / 2) % span),
+                    })
+                    .collect()
+            });
+        }
     }
 }

@@ -492,6 +492,17 @@ impl GpuDevice {
         self.last_advance
     }
 
+    /// Fast-forwards an idle device over `kernels` kernels that each ran
+    /// alone and completed by `to`, leaving the kernel ids and the clock
+    /// where [`GpuDevice::launch`] and [`GpuDevice::advance_through`] would
+    /// have: for a caller that computes a run of lone kernels in closed
+    /// form instead of driving each one through.
+    pub fn skip_solo_kernels(&mut self, kernels: u64, to: SimTime) {
+        debug_assert!(self.active.is_empty(), "skipped kernels must run alone");
+        self.next_kid += kernels;
+        self.drain_interval(to);
+    }
+
     /// Advances to `now` assuming no completion falls strictly inside the
     /// interval; used by mutating calls that require the caller to have
     /// drained completions first.
@@ -927,6 +938,27 @@ mod tests {
     #[should_panic(expected = "finite and positive")]
     fn set_compute_speed_rejects_non_positive() {
         device().set_compute_speed(SimTime::ZERO, -1.0);
+    }
+
+    #[test]
+    fn skipping_solo_kernels_leaves_what_running_them_leaves() {
+        let spec = |p| KernelSpec::new(p, ms(3), 0.7, Priority::Low, "s");
+        let mut ran = device().with_compute_speed(0.8);
+        let mut skipped = device().with_compute_speed(0.8);
+        let p = ran.register_process("side", Priority::Low, None);
+        let q = skipped.register_process("side", Priority::Low, None);
+        assert_eq!(p, q);
+        let mut now = SimTime::ZERO;
+        for _ in 0..5 {
+            ran.launch(now, spec(p)).unwrap();
+            now = ran.next_completion_time().unwrap();
+            assert_eq!(ran.advance_through(now).len(), 1);
+            now += ms(1);
+        }
+        skipped.skip_solo_kernels(5, ran.clock());
+        assert_eq!(skipped.clock(), ran.clock());
+        assert_eq!(skipped.launch(now, spec(q)), ran.launch(now, spec(p)));
+        assert_eq!(skipped.next_completion_time(), ran.next_completion_time());
     }
 
     #[test]

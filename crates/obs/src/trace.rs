@@ -183,10 +183,17 @@ impl TraceEventKind {
 ///
 /// `Send` is a supertrait so a shared `Arc<Mutex<dyn TraceSink>>` can
 /// ride into sweep closures that fan across OS threads (each cluster
-/// still records single-threaded, so insertion order is the
-/// deterministic event-dispatch order).
+/// still records single-threaded, so insertion order is deterministic).
 pub trait TraceSink: Send {
-    /// Accepts one event. Called in event-dispatch order.
+    /// Accepts one event.
+    ///
+    /// Calls come in a deterministic order, the same for any thread
+    /// count, but not in time order. A worker computes the steps of a
+    /// side task running alone in its bubble when something touches the
+    /// worker, so their `StepBegin`/`StepEnd` events arrive then, after
+    /// events with a later `at` from other lanes and the job. Every
+    /// event carries its exact `at`, and the events a worker emits
+    /// itself (steps and stops) arrive in time order.
     fn record(&mut self, event: TraceEvent);
 }
 
@@ -225,7 +232,8 @@ impl SimTracer {
         Arc::new(Mutex::new(SimTracer::new()))
     }
 
-    /// The recorded events, in emission order.
+    /// The recorded events, in emission order: deterministic, but not
+    /// time order (see [`TraceSink::record`]).
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
@@ -261,8 +269,8 @@ impl SimTracer {
     }
 
     /// Exports the log as flat JSONL: one hand-formatted JSON object
-    /// per event, in emission order. Byte-identical for any
-    /// `--threads`.
+    /// per event, in emission order, which is not time order (see
+    /// [`TraceSink::record`]). Byte-identical for any `--threads`.
     pub fn to_jsonl(&self) -> String {
         export_jsonl(&self.events)
     }
@@ -432,9 +440,9 @@ fn export_jsonl(events: &[TraceEvent]) -> String {
 }
 
 fn export_chrome(events: &[TraceEvent]) -> String {
-    // Submission-time events are recorded before the clock starts, so
-    // the log is not globally time-ordered; Chrome's sync-span nesting
-    // needs it to be. Stable sort keeps emission order among equals,
+    // Submission-time events are recorded before the clock starts, and a
+    // worker's deferred steps when it is caught up, so the log is not
+    // globally time-ordered; Chrome's sync-span nesting needs it to be. Stable sort keeps emission order among equals,
     // so the output stays deterministic.
     let mut ordered: Vec<&TraceEvent> = events.iter().collect();
     ordered.sort_by_key(|e| e.at.as_nanos());

@@ -13,9 +13,14 @@
 //!   and device tick; and `stageN.mem.used`, the training footprint in GiB,
 //!   one sample at time zero;
 //! - the cluster orchestrator (every co-location run, Fig. 8): `gpu{g}.mem`,
-//!   the device's used memory in GiB, sampled after every op launch, device
-//!   tick, worker command, grace check and straggler window on that GPU.
-//!   It records no occupancy series.
+//!   the device's used memory in GiB, sampled after every op launch,
+//!   dispatched device tick, worker command, grace check, crash and
+//!   straggler window on that GPU. Side-task steps a worker computes on
+//!   catch-up instead of through the event queue dispatch no ticks and
+//!   take no samples: nothing can allocate or free on the device during
+//!   such a run, so each sample a tick would have taken repeats the last
+//!   value, which [`Series::record`] drops. It records no occupancy
+//!   series.
 //!
 //! Both producers resolve their series names once, when their world is
 //! built, so recording on the per-event path neither formats nor allocates.

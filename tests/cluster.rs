@@ -277,3 +277,79 @@ fn online_arrival_lands_on_the_pinned_worker() {
     assert!(late.steps().unwrap() > 0);
     assert_eq!(report.total_rejections(), 0);
 }
+
+/// A side task whose step only counts: what is left to run is the
+/// simulator itself.
+#[derive(Default)]
+struct Counter {
+    steps: u64,
+}
+
+impl SideTaskWorkload for Counter {
+    fn name(&self) -> &'static str {
+        "counter"
+    }
+
+    fn create(&mut self) {}
+
+    fn init_gpu(&mut self) {}
+
+    fn run_step(&mut self) -> f64 {
+        self.steps += 1;
+        self.steps as f64
+    }
+
+    fn steps_done(&self) -> u64 {
+        self.steps
+    }
+}
+
+/// A well-behaved iterative task stepping alone in its bubble costs no
+/// events per step: its steps are computed when something touches its
+/// worker. On a four-job cluster of compute-free tasks, with a crash, a
+/// straggler, an RPC spike, checkpoints and hedging on job 0 to touch
+/// the workers mid-bubble, the run needs fewer events than it harvests
+/// steps. Queueing a launch and a completion per step would need two.
+#[test]
+fn lone_side_steps_queue_no_events_of_their_own() {
+    let ms = SimTime::from_millis;
+    let secs = SimDuration::from_secs;
+    let faults = FaultPlan::new()
+        .oom_window(ms(3_000), secs(2))
+        .crash_worker(ms(4_000), 1, secs(1))
+        .rpc_spike(ms(5_000), 3, SimDuration::from_millis(40), secs(1))
+        .crash_worker(ms(5_200), 1, secs(3))
+        .straggler(ms(6_000), 2, 0.25, secs(4));
+    let models = [
+        ModelSpec::nanogpt_3_6b(),
+        ModelSpec::nanogpt_1_2b(),
+        ModelSpec::nanogpt_6b(),
+        ModelSpec::nanogpt_3_6b(),
+    ];
+    let mut builder = Cluster::builder().policy(LeastLoaded).cost_report(false);
+    for (j, model) in models.into_iter().enumerate() {
+        let mut job = ClusterJob::new(pipeline(model, 2)).seed(j as u64 + 1);
+        if j == 0 {
+            job = job
+                .faults(faults.clone())
+                .checkpoint(secs(1))
+                .supervise(SupervisorConfig::new().hedge(0.5));
+        }
+        builder = builder.job(job);
+    }
+    let mut cluster = builder.build();
+    for j in 0..4 {
+        for _ in 0..4 {
+            let counter = Submission::custom("counter", MemBytes::from_gib(2), |_| {
+                Box::new(Counter::default())
+            })
+            .with_step_time(SimDuration::from_millis(2));
+            cluster
+                .submit_with(counter, SubmitOptions::new().affinity(j))
+                .unwrap();
+        }
+    }
+    let report = cluster.run();
+    let (events, steps) = (report.events_processed, report.total_steps());
+    assert!(events < steps, "{events} events for {steps} side steps");
+}

@@ -1,34 +1,8 @@
-//! `chaos` — replays one deterministic fault trace (double worker crash,
-//! OOM window, RPC spike, straggler) under every resilience mechanism:
-//! none, retry, checkpoint/restart, circuit breaker, and all three
-//! together. Each row reports completed side-task steps, rejections,
-//! tasks lost to the crashes, recoveries, and the worst recovery latency,
-//! so the mechanisms' contributions can be read off against the same
-//! disaster.
-//!
-//! Cells fan out across threads but results return in grid order — the
-//! output is byte-identical for any `--threads`.
-//!
-//! Run: `cargo run --release -p freeride-bench --bin chaos
-//! [epochs] [--threads N] [--seed N]`
+//! One fault trace under every resilience mechanism.
+//! The text comes from `freeride_bench::chaos::render`.
 
 #![forbid(unsafe_code)]
 
-use freeride_bench::{chaos, header, BenchArgs};
-
 fn main() {
-    let args = BenchArgs::parse();
-    let seed = args.seed.unwrap_or(chaos::DEFAULT_SEED);
-    header("Chaos: one fault trace, every resilience mechanism");
-    println!(
-        "pipeline: nanoGPT-3.6B, 4 stages; epochs={}; seed={seed:#x}",
-        args.epochs
-    );
-    println!(
-        "faults: oom 3.0-5.0s | crash w1 @4.0s (1s) and @5.2s (3s) | \
-         rpc spike w3 @5.0s (40ms, 1s) | straggler w2 @6.0s (x0.25, 4s)"
-    );
-    for outcome in chaos::run_cells(args.epochs, seed, args.sweep()) {
-        println!("{}", chaos::row(&outcome));
-    }
+    freeride_bench::run(freeride_bench::chaos::render);
 }

@@ -1,81 +1,8 @@
-//! Figure 1 — a pipeline training epoch in DeepSpeed: per-stage operation
-//! timeline with SM occupancy (bubbles shaded) and per-stage GPU memory.
-//!
-//! Run: `cargo run --release -p freeride-bench --bin figure1`
+//! Figure 1: a pipeline training epoch, its bubbles and stage memory.
+//! The text comes from `freeride_bench::paper::figure1`.
 
 #![forbid(unsafe_code)]
 
-use freeride_bench::{header, main_pipeline, BenchArgs};
-use freeride_pipeline::{run_training, ScheduleKind};
-use freeride_sim::{SimDuration, SimTime};
-
 fn main() {
-    let cfg = main_pipeline(BenchArgs::parse().epochs.max(2));
-    let run = run_training(&cfg, ScheduleKind::OneFOneB);
-
-    header("Figure 1(a): pipeline operations and GPU SM occupancy (one epoch)");
-    // Render the second epoch (the first is the profiling epoch) as an
-    // ASCII strip per stage: '#' busy, '.' bubble.
-    let epoch = run.epoch_times[0];
-    let t0 = SimTime::ZERO + epoch; // start of epoch 1
-    let cols = 96u64;
-    let slot = SimDuration::from_nanos(epoch.as_nanos() / cols);
-    for s in 0..cfg.stages {
-        let series = run
-            .trace
-            .series(&format!("stage{s}.sm"))
-            .expect("occupancy trace");
-        let mut strip = String::new();
-        for c in 0..cols {
-            let probe = t0 + slot * c + slot / 2;
-            let occ = series.value_at(probe).unwrap_or(0.0);
-            strip.push(if occ > 0.5 { '#' } else { '.' });
-        }
-        println!("Stage {s} |{strip}|");
-    }
-    println!("          ('#' = op executing, '.' = bubble; {cols} slots of {slot})");
-
-    println!();
-    println!("Bubbles of one epoch per stage (type @ start-offset, duration):");
-    for s in 0..cfg.stages {
-        let bubbles: Vec<String> = run
-            .profile
-            .stage_bubbles(s)
-            .map(|b| {
-                format!(
-                    "{}@{:.2}s/{:.2}s",
-                    b.kind,
-                    b.start_offset.as_secs_f64(),
-                    b.duration.as_secs_f64()
-                )
-            })
-            .collect();
-        println!("  Stage {s}: {}", bubbles.join("  "));
-    }
-    println!("  (paper: stage0 B C C C; stage1 A B C C A; stage2 A B C A; stage3 A .. A)");
-
-    header("Figure 1(b): GPU memory utilization of each stage");
-    println!(
-        "{:<8} {:>14} {:>14} {:>10}",
-        "Stage", "used by train", "unutilized", "of 48 GiB"
-    );
-    for s in 0..cfg.stages {
-        let used = cfg.stage_memory(s);
-        let free = cfg.stage_free_memory(s);
-        println!(
-            "{:<8} {:>14} {:>14} {:>9.1}%",
-            format!("Stage {s}"),
-            format!("{used}"),
-            format!("{free}"),
-            100.0 * used.as_gib_f64() / cfg.gpu_memory.as_gib_f64()
-        );
-    }
-    println!("  (paper: used memory decreases from stage 0 to 3; free <3 GiB to >20 GiB)");
-
-    header("Epoch summary");
-    println!(
-        "epoch time {:.3}s, bubble rate {:.1}% (paper: ~42.4%)",
-        run.epoch_times[0].as_secs_f64(),
-        run.bubble_stats.bubble_rate * 100.0
-    );
+    freeride_bench::run(freeride_bench::paper::figure1);
 }

@@ -1,118 +1,8 @@
-//! Figure 2 — bubble statistics under different model sizes:
-//! (a) the distribution of bubble shapes (duration × available memory),
-//! (b) epoch time, per-stage bubble time, and bubble rate; plus the
-//! micro-batch count sensitivity of §2.2.2 (42.4% → 26.2% at 8).
-//!
-//! Run: `cargo run --release -p freeride-bench --bin figure2
-//! [epochs] [--threads N]` — one training simulation per row, fanned
-//! across threads; output is identical for any thread count.
+//! Figure 2: bubble shapes and rates under different model sizes.
+//! The text comes from `freeride_bench::paper::figure2`.
 
 #![forbid(unsafe_code)]
 
-use freeride_bench::{header, BenchArgs};
-use freeride_pipeline::{run_training, ModelSpec, PipelineConfig, ScheduleKind};
-
 fn main() {
-    let args = BenchArgs::parse();
-    let epochs = args.epochs.max(2);
-    let sweep = args.sweep();
-    let models = [
-        ModelSpec::nanogpt_1_2b(),
-        ModelSpec::nanogpt_3_6b(),
-        ModelSpec::nanogpt_6b(),
-    ];
-
-    header("Figure 2(a): distribution of bubbles under different model sizes");
-    println!(
-        "{:<10} {:>8} {:>12} {:>12} {:>14} {:>14}",
-        "model", "bubbles", "dur min", "dur max", "free-mem min", "free-mem max"
-    );
-    let jobs: Vec<_> = models
-        .into_iter()
-        .map(|m| {
-            move || {
-                let cfg = PipelineConfig::paper_default(m).with_epochs(epochs);
-                let run = run_training(&cfg, ScheduleKind::OneFOneB);
-                let free_min = (0..cfg.stages)
-                    .map(|s| cfg.stage_free_memory(s))
-                    .min()
-                    .unwrap();
-                let free_max = (0..cfg.stages)
-                    .map(|s| cfg.stage_free_memory(s))
-                    .max()
-                    .unwrap();
-                format!(
-                    "{:<10} {:>8} {:>12} {:>12} {:>14} {:>14}",
-                    format!("{}B", m.params_b),
-                    run.profile.len(),
-                    format!("{}", run.profile.min_duration().unwrap()),
-                    format!("{}", run.profile.max_duration().unwrap()),
-                    format!("{free_min}"),
-                    format!("{free_max}"),
-                )
-            }
-        })
-        .collect();
-    for row in sweep.run(jobs) {
-        println!("{row}");
-    }
-    println!("  (paper: larger LLMs have less available memory and shorter durations;");
-    println!("   3.6B bubbles range 0.22s-1.04s and <3 GiB to >20 GiB)");
-
-    header("Figure 2(b): durations and bubble rates under different model sizes");
-    println!(
-        "{:<10} {:>12} {:>18} {:>12}",
-        "model", "epoch time", "bubble time/stage", "bubble rate"
-    );
-    let jobs: Vec<_> = models
-        .into_iter()
-        .map(|m| {
-            move || {
-                let cfg = PipelineConfig::paper_default(m).with_epochs(epochs);
-                let run = run_training(&cfg, ScheduleKind::OneFOneB);
-                let st = run.bubble_stats;
-                (
-                    st.bubble_rate,
-                    format!(
-                        "{:<10} {:>11.3}s {:>17.3}s {:>11.1}%",
-                        format!("{}B", m.params_b),
-                        st.epoch_time.as_secs_f64(),
-                        st.bubble_time_per_stage.as_secs_f64(),
-                        st.bubble_rate * 100.0
-                    ),
-                )
-            }
-        })
-        .collect();
-    let mut rates = Vec::new();
-    for (rate, row) in sweep.run(jobs) {
-        rates.push(rate);
-        println!("{row}");
-    }
-    println!("  (paper: rate drops only slightly, 42.4% -> 40.4%, as size grows)");
-    assert!(
-        rates.windows(2).all(|w| w[0] >= w[1]),
-        "bubble rate must not increase with model size"
-    );
-
-    header("Micro-batch count sensitivity (3.6B)");
-    let jobs: Vec<_> = [4usize, 8]
-        .into_iter()
-        .map(|mb| {
-            move || {
-                let cfg = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b())
-                    .with_micro_batches(mb)
-                    .with_epochs(epochs);
-                let run = run_training(&cfg, ScheduleKind::OneFOneB);
-                format!(
-                    "micro-batches={mb}: bubble rate {:.1}%",
-                    run.bubble_stats.bubble_rate * 100.0
-                )
-            }
-        })
-        .collect();
-    for row in sweep.run(jobs) {
-        println!("{row}");
-    }
-    println!("  (paper: 42.4% at 4 micro-batches, 26.2% at 8)");
+    freeride_bench::run(freeride_bench::paper::figure2);
 }

@@ -1,36 +1,8 @@
-//! `health` — replays the chaos benchmark's fault trace (double worker
-//! crash, OOM window, RPC spike, straggler) under increasing levels of
-//! supervision: none, detector only, proactive migration, and straggler
-//! hedging. Each row reports the harvest plus the health subsystem's own
-//! metrics — detector transitions (with the full log), mean detection and
-//! recovery latency, migrations, and hedge outcomes.
-//!
-//! Cells fan out across threads but results return in grid order — the
-//! output is byte-identical for any `--threads`.
-//!
-//! Run: `cargo run --release -p freeride-bench --bin health
-//! [epochs] [--threads N] [--seed N]`
+//! One fault trace under every supervision level.
+//! The text comes from `freeride_bench::health::render`.
 
 #![forbid(unsafe_code)]
 
-use freeride_bench::{header, health, BenchArgs};
-
 fn main() {
-    let args = BenchArgs::parse();
-    let seed = args.seed.unwrap_or(health::DEFAULT_SEED);
-    header("Health: one fault trace, every supervision level");
-    println!(
-        "pipeline: nanoGPT-3.6B, 4 stages; epochs={}; seed={seed:#x}",
-        args.epochs
-    );
-    println!(
-        "faults: oom 3.0-5.0s | crash w1 @4.0s (1s) and @5.2s (3s) | \
-         rpc spike w3 @5.0s (40ms, 1s) | straggler w2 @6.0s (x0.25, 4s)"
-    );
-    println!("every cell arms retry + 1s checkpointing; supervision varies");
-    for outcome in health::run_cells(args.epochs, seed, args.sweep()) {
-        for line in health::rows(&outcome) {
-            println!("{line}");
-        }
-    }
+    freeride_bench::run(freeride_bench::health::render);
 }

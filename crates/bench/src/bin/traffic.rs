@@ -1,37 +1,8 @@
-//! `traffic` — open-loop multi-tenant traffic against the service
-//! front-end: three arrival processes (Poisson, bursty ON/OFF, diurnal)
-//! × two middleware stacks (`open`: metrics only; `guarded`: admission
-//! control, per-tenant quotas, deadlines, priority tagging, and a
-//! delaying token-bucket rate limiter). Each cell reports p50/p99/p999
-//! latency-to-placement, rejection rates by tenant and by layer, and
-//! harvest efficiency under load.
-//!
-//! Cells fan out across threads but results return in grid order — the
-//! output is byte-identical for any `--threads`.
-//!
-//! Run: `cargo run --release -p freeride-bench --bin traffic
-//! [epochs] [--threads N] [--seed N]`
+//! Open-loop multi-tenant traffic against the service front-end.
+//! The text comes from `freeride_bench::traffic::render`.
 
 #![forbid(unsafe_code)]
 
-use freeride_bench::{header, traffic, BenchArgs};
-
 fn main() {
-    let args = BenchArgs::parse();
-    let seed = args.seed.unwrap_or(traffic::DEFAULT_SEED);
-    header("Traffic: open-loop multi-tenant load on the service front-end");
-    println!(
-        "pipeline: nanoGPT-3.6B, 4 stages; epochs={}; seed={seed:#x}; horizon={}s",
-        args.epochs,
-        traffic::HORIZON_SECS
-    );
-    println!(
-        "tenants: batch (PageRank/GraphSGD, 1.5/s) | interactive (ImageProc, 1.0/s) | \
-         training (ResNet18/VGG19, 0.5/s)"
-    );
-    for outcome in traffic::run_cells(args.epochs, seed, args.sweep()) {
-        for line in traffic::rows(&outcome) {
-            println!("{line}");
-        }
-    }
+    freeride_bench::run(freeride_bench::traffic::render);
 }

@@ -40,6 +40,7 @@
 //! output is byte-identical for any `--threads`.
 
 use crate::sweep::SweepRunner;
+use crate::{header, BenchArgs, Text};
 use freeride_core::{
     CircuitBreaker, Cluster, ClusterJob, ClusterReport, ClusterView, FaultPlan, MinTasksJob,
     Placement, PlacementPolicy, RetryPolicy, StopReason, Submission, SubmitOptions,
@@ -93,6 +94,10 @@ impl PlacementPolicy for PinLateToFlapping {
         }
     }
 }
+
+/// [`fault_plan`] as the `chaos` and `health` bins print it.
+pub(crate) const FAULTS: &str = "oom 3.0-5.0s | crash w1 @4.0s (1s) and @5.2s (3s) | \
+                          rpc spike w3 @5.0s (40ms, 1s) | straggler w2 @6.0s (x0.25, 4s)";
 
 /// The shared fault trace every cell replays.
 pub fn fault_plan() -> FaultPlan {
@@ -208,12 +213,34 @@ pub struct CellOutcome {
 }
 
 /// Formats one outcome as the chaos bin prints it.
-pub fn row(o: &CellOutcome) -> String {
-    format!
-        (
-        "{:<11} policy={:<15} steps={:<6} rejected={} lost={} recovered={} worst_recovery={} events={}",
-        o.name, o.policy, o.steps, o.rejections, o.lost, o.recoveries, o.worst_recovery, o.events
+fn row(o: &CellOutcome) -> String {
+    format!(
+        "{:<11} policy={:<15} steps={:<6} rejected={} lost={} recovered={} worst_recovery={}",
+        o.name, o.policy, o.steps, o.rejections, o.lost, o.recoveries, o.worst_recovery
     )
+}
+
+/// Renders the `chaos` bin's text.
+///
+/// Run: `cargo run --release -p freeride-bench --bin chaos
+/// [epochs] [--threads N] [--seed N]`
+pub fn render(args: &BenchArgs) -> String {
+    let mut out = Text::default();
+    let seed = args.seed.unwrap_or(DEFAULT_SEED);
+    header(
+        &mut out,
+        "Chaos: one fault trace, every resilience mechanism",
+    );
+    writeln!(
+        out,
+        "pipeline: nanoGPT-3.6B, 4 stages; epochs={}; seed={seed:#x}",
+        args.epochs
+    );
+    writeln!(out, "faults: {FAULTS}");
+    for outcome in run_cells(args.epochs, seed, args.sweep()) {
+        writeln!(out, "{}", row(&outcome));
+    }
+    out.0
 }
 
 /// Replays the fault trace for `epochs` under one mechanism mix.

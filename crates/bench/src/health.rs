@@ -24,6 +24,7 @@
 
 use crate::chaos;
 use crate::sweep::SweepRunner;
+use crate::{header, BenchArgs, Text};
 use freeride_core::{
     Cluster, ClusterJob, ClusterReport, RetryPolicy, Submission, SubmitOptions, SupervisorConfig,
 };
@@ -115,10 +116,10 @@ pub struct CellOutcome {
 
 /// Formats one outcome as the health bin prints it: a summary row
 /// followed by one indented line per detector transition.
-pub fn rows(o: &CellOutcome) -> Vec<String> {
+fn rows(o: &CellOutcome) -> Vec<String> {
     let mut out = vec![format!(
         "{:<13} steps={:<6} transitions={} mean_ttd={} mean_ttr={} migrations={} \
-         hedge_wins={} hedge_losses={} events={}",
+         hedge_wins={} hedge_losses={}",
         o.name,
         o.steps,
         o.transitions.len(),
@@ -126,13 +127,38 @@ pub fn rows(o: &CellOutcome) -> Vec<String> {
         o.mean_ttr,
         o.migrations,
         o.hedge_wins,
-        o.hedge_losses,
-        o.events
+        o.hedge_losses
     )];
     for tr in &o.transitions {
         out.push(format!("              {tr}"));
     }
     out
+}
+
+/// Renders the `health` bin's text.
+///
+/// Run: `cargo run --release -p freeride-bench --bin health
+/// [epochs] [--threads N] [--seed N]`
+pub fn render(args: &BenchArgs) -> String {
+    let mut out = Text::default();
+    let seed = args.seed.unwrap_or(DEFAULT_SEED);
+    header(&mut out, "Health: one fault trace, every supervision level");
+    writeln!(
+        out,
+        "pipeline: nanoGPT-3.6B, 4 stages; epochs={}; seed={seed:#x}",
+        args.epochs
+    );
+    writeln!(out, "faults: {}", chaos::FAULTS);
+    writeln!(
+        out,
+        "every cell arms retry + 1s checkpointing; supervision varies"
+    );
+    for outcome in run_cells(args.epochs, seed, args.sweep()) {
+        for line in rows(&outcome) {
+            writeln!(out, "{line}");
+        }
+    }
+    out.0
 }
 
 /// Replays the fault trace for `epochs` under one supervision level.

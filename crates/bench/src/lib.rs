@@ -1,8 +1,11 @@
 //! # freeride-bench — experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (§2.2 and §6),
-//! each printing the same rows/series the paper reports, side by side with
-//! the paper's published values where the paper states them:
+//! One experiment per table/figure of the paper's evaluation (§2.2 and
+//! §6), plus the scenarios beyond it. Each experiment is a function that
+//! renders its bin's full text, listed by bin name in [`EXPERIMENTS`];
+//! each `src/bin/*.rs` only calls [`run`] on its function. Paper rows
+//! print side by side with the paper's published values where the paper
+//! states them:
 //!
 //! | target | reproduces |
 //! |---|---|
@@ -21,26 +24,79 @@
 //! | `traffic` | beyond the paper: open-loop multi-tenant traffic against the service front-end |
 //! | `perf` | tracked perf baseline (`BENCH.json`): single-run, cluster, hetero, chaos, health, traffic, sweep speedup |
 //!
-//! Run them all: `cargo bench -p freeride-bench` (the `paper_experiments`
-//! bench target), or individually `cargo run --release -p freeride-bench
-//! --bin table2 [epochs]`.
+//! Run one: `cargo run --release -p freeride-bench --bin table2
+//! [epochs]`. Every experiment's text at 2 epochs is pinned by the root
+//! package's `tests/goldens.rs` (`cargo test -q --test goldens`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod cluster;
 pub mod health;
+pub mod hetero;
+pub mod paper;
 pub mod sweep;
 pub mod traffic;
 
 pub use sweep::{default_threads, SweepRunner};
 
 use freeride_core::{
-    evaluate, run_colocation, CostReport, DeploymentReport, FreeRideConfig, Submission,
+    evaluate, run_colocation, BestFitMemory, CostReport, DeploymentReport, FastestFit, FirstFit,
+    FreeRideConfig, LeastLoaded, MinTasksJob, PlacementPolicy, Submission,
 };
 use freeride_pipeline::{ModelSpec, PipelineConfig};
 use freeride_sim::SimDuration;
 use freeride_tasks::WorkloadKind;
+
+/// An experiment: renders its bin's full text for one argument set.
+pub type Experiment = fn(&BenchArgs) -> String;
+
+/// Every experiment, by the name of the bin that prints it.
+pub const EXPERIMENTS: [(&str, Experiment); 13] = [
+    ("figure1", paper::figure1),
+    ("figure2", paper::figure2),
+    ("table1", paper::table1),
+    ("table2", paper::table2),
+    ("figure7", paper::figure7),
+    ("figure8", paper::figure8),
+    ("figure9", paper::figure9),
+    ("ablations", paper::ablations),
+    ("cluster", cluster::render),
+    ("hetero", hetero::render),
+    ("chaos", chaos::render),
+    ("health", health::render),
+    ("traffic", traffic::render),
+];
+
+/// The `main` of every experiment bin: parses the process's arguments
+/// and prints the experiment's text.
+pub fn run(experiment: Experiment) {
+    print!("{}", experiment(&BenchArgs::parse()));
+}
+
+/// The text an experiment renders. `write!` and `writeln!` on it cannot
+/// fail, so they return `()` instead of a `fmt::Result`.
+#[derive(Default)]
+pub(crate) struct Text(String);
+
+impl Text {
+    /// The method `write!` and `writeln!` call.
+    pub(crate) fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        // Writing to a `String` never fails.
+        let _ = std::fmt::Write::write_fmt(&mut self.0, args);
+    }
+}
+
+/// Every shipped placement policy, in the order the `cluster` and
+/// `hetero` sweeps print them; each reports its own name.
+pub(crate) const PLACEMENT_POLICIES: [fn() -> Box<dyn PlacementPolicy>; 5] = [
+    || Box::new(FirstFit),
+    || Box::new(BestFitMemory),
+    || Box::new(LeastLoaded),
+    || Box::new(FastestFit),
+    || Box::new(MinTasksJob),
+];
 
 /// Default epoch count for experiment binaries (1 profiling + 16 serving).
 /// The paper trains 128 epochs; epochs are identical in the deterministic
@@ -50,8 +106,8 @@ pub const DEFAULT_EPOCHS: usize = 17;
 
 /// Command-line arguments shared by every experiment binary.
 ///
-/// All eight bins (and the `perf` bin) accept the same small surface
-/// instead of each parsing `argv` its own way:
+/// Every experiment bin (and the `perf` bin) accepts the same small
+/// surface instead of each parsing `argv` its own way:
 ///
 /// * `[epochs]` — positional, or `--epochs N`: epochs per simulated run
 ///   (default [`DEFAULT_EPOCHS`]);
@@ -138,8 +194,6 @@ impl BenchArgs {
                     }
                 }
                 "--seed" => out.seed = take_num("--seed", &mut iter, &mut warnings),
-                // `cargo bench` passes this to `harness = false` targets.
-                "--bench" => {}
                 other => match other.parse() {
                     Ok(epochs) if !saw_positional => {
                         out.epochs = epochs;
@@ -222,10 +276,10 @@ pub fn vs_paper(measured: f64, paper: f64) -> String {
     format!("{} (paper {})", pct(measured), pct(paper))
 }
 
-/// Prints a section header.
-pub fn header(title: &str) {
-    println!();
-    println!("=== {title} ===");
+/// Appends a section header.
+pub(crate) fn header(out: &mut Text, title: &str) {
+    writeln!(out);
+    writeln!(out, "=== {title} ===");
 }
 
 /// Paper-published Table 2 values `(I%, S%)` per method per workload, for
@@ -346,8 +400,6 @@ mod tests {
         assert_eq!(epochs, 6);
         assert_eq!(w.len(), 1);
         assert!(w[0].contains("\"nope\""), "{w:?}");
-        // `cargo bench` appends `--bench`.
-        assert_eq!(warnings(&["--bench"]), (DEFAULT_EPOCHS, vec![]));
         // A bad flag value is consumed and reported once; a missing one
         // leaves the next flag in place.
         let (_, w) = warnings(&["--threads", "1O", "3"]);

@@ -21,13 +21,13 @@
 //!   as `deadline-exceeded` rejections at the admission plane.
 //!
 //! Every cell reports p50/p99/p999 latency-to-placement, rejection rates
-//! by tenant and by layer, harvest efficiency (the fraction of bubble
-//! time spent running side-task steps), and the simulation's event
-//! count. Cells fan out across threads via [`SweepRunner`] and return in
-//! grid order — the traffic bin's output is byte-identical for any
-//! `--threads`.
+//! by tenant and by layer, and harvest efficiency (the fraction of bubble
+//! time spent running side-task steps). Cells fan out across threads via
+//! [`SweepRunner`] and return in grid order — the traffic bin's output
+//! is byte-identical for any `--threads`.
 
 use crate::sweep::SweepRunner;
+use crate::{header, BenchArgs, Text};
 use freeride_core::ClusterJob;
 use freeride_core::{
     AdmissionControl, Cluster, ClusterReport, DeadlineLayer, PriorityTag, RateLimit, RateLimitMode,
@@ -146,11 +146,11 @@ pub struct TrafficOutcome {
 }
 
 /// Formats one outcome as the traffic bin prints it (three lines).
-pub fn rows(o: &TrafficOutcome) -> Vec<String> {
+fn rows(o: &TrafficOutcome) -> Vec<String> {
     let mut out = Vec::with_capacity(3);
     out.push(format!(
-        "{:<16} arrivals={:<4} accepted={:<4} rejected={:<4} p50={} p99={} p999={} harvest={:.3} events={}",
-        o.name, o.arrivals, o.accepted, o.rejected, o.p50, o.p99, o.p999, o.harvest, o.events
+        "{:<16} arrivals={:<4} accepted={:<4} rejected={:<4} p50={} p99={} p999={} harvest={:.3}",
+        o.name, o.arrivals, o.accepted, o.rejected, o.p50, o.p99, o.p999, o.harvest
     ));
     let tenants: Vec<String> = o
         .tenants
@@ -183,6 +183,35 @@ pub fn rows(o: &TrafficOutcome) -> Vec<String> {
         }
     ));
     out
+}
+
+/// Renders the `traffic` bin's text.
+///
+/// Run: `cargo run --release -p freeride-bench --bin traffic
+/// [epochs] [--threads N] [--seed N]`
+pub fn render(args: &BenchArgs) -> String {
+    let mut out = Text::default();
+    let seed = args.seed.unwrap_or(DEFAULT_SEED);
+    header(
+        &mut out,
+        "Traffic: open-loop multi-tenant load on the service front-end",
+    );
+    writeln!(
+        out,
+        "pipeline: nanoGPT-3.6B, 4 stages; epochs={}; seed={seed:#x}; horizon={}s",
+        args.epochs, HORIZON_SECS
+    );
+    writeln!(
+        out,
+        "tenants: batch (PageRank/GraphSGD, 1.5/s) | interactive (ImageProc, 1.0/s) | \
+         training (ResNet18/VGG19, 0.5/s)"
+    );
+    for outcome in run_cells(args.epochs, seed, args.sweep()) {
+        for line in rows(&outcome) {
+            writeln!(out, "{line}");
+        }
+    }
+    out.0
 }
 
 /// Replays one cell: generate the trace, drive it through the stack,

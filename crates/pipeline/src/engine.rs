@@ -26,6 +26,10 @@ use crate::schedule::{Op, OpKind, Schedule, ScheduleKind};
 use freeride_gpu::{GpuDevice, KernelSpec, Priority, ProcessId};
 use freeride_sim::{SimDuration, SimTime};
 
+/// Initial epochs that only measure bubbles; no bubble is reported during
+/// them.
+const PROFILE_EPOCHS: usize = 1;
+
 /// What the engine wants the embedding world to do.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineAction {
@@ -102,7 +106,6 @@ pub struct PipelineEngine {
     epoch: usize,
     epoch_start: SimTime,
     epoch_times: Vec<SimDuration>,
-    profile_epochs: usize,
     profile: BubbleProfile,
     instr_overhead: SimDuration,
     done: bool,
@@ -127,7 +130,6 @@ impl PipelineEngine {
             epoch: 0,
             epoch_start: SimTime::ZERO,
             epoch_times: Vec::new(),
-            profile_epochs: 1,
             profile: BubbleProfile::new(s),
             instr_overhead: SimDuration::ZERO,
             done: false,
@@ -143,21 +145,6 @@ impl PipelineEngine {
     /// DeepSpeed for the `T_noSideTask` baseline.
     pub fn with_instrumentation_overhead(mut self, overhead: SimDuration) -> Self {
         self.instr_overhead = overhead;
-        self
-    }
-
-    /// Overrides how many initial epochs are used for bubble profiling
-    /// (no bubble reports are emitted during them). Default 1.
-    pub fn with_profile_epochs(mut self, n: usize) -> Self {
-        self.profile_epochs = n;
-        self
-    }
-
-    /// Supplies an externally measured profile (offline profiling, §4.3),
-    /// so every epoch serves bubbles from the start.
-    pub fn with_offline_profile(mut self, profile: BubbleProfile) -> Self {
-        self.profile = profile;
-        self.profile_epochs = 0;
         self
     }
 
@@ -357,7 +344,7 @@ impl PipelineEngine {
     /// Whether the engine is currently in a profiling epoch (no bubble
     /// reports emitted).
     pub fn is_profiling(&self) -> bool {
-        self.epoch < self.profile_epochs
+        self.epoch < PROFILE_EPOCHS
     }
 
     fn classify(&self, stage: StageId, next: Op) -> BubbleKind {

@@ -3,6 +3,7 @@
 //! only perturb what randomness touches (RPC jitter), never the physics.
 
 use freeride::prelude::*;
+use freeride_bench::SweepRunner;
 
 fn pipeline() -> PipelineConfig {
     PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(4)
@@ -120,5 +121,80 @@ fn workload_computations_are_deterministic_end_to_end() {
     for (ta, tb) in a.tasks.iter().zip(&b.tasks) {
         assert_eq!(ta.steps, tb.steps);
         assert_eq!(ta.worker, tb.worker);
+    }
+}
+
+/// Traced two-job cluster simulations, one per placement policy, fanned
+/// across `threads` by the experiment bins' sweep runner. Each closure
+/// owns its tracer; a row is the trace summary plus both exports in full.
+fn trace_rows(threads: usize) -> Vec<String> {
+    let policies: Vec<Box<dyn PlacementPolicy>> = vec![
+        Box::new(FirstFit),
+        Box::new(LeastLoaded),
+        Box::new(MinTasksJob),
+    ];
+    let jobs: Vec<_> = policies
+        .into_iter()
+        .map(|policy| {
+            move || {
+                let sink = SimTracer::shared();
+                let mut cluster = Cluster::builder()
+                    .job(
+                        ClusterJob::new(
+                            PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(2),
+                        )
+                        .seed(1),
+                    )
+                    .job(
+                        ClusterJob::new(
+                            PipelineConfig::paper_default(ModelSpec::nanogpt_1_2b()).with_epochs(2),
+                        )
+                        .seed(2),
+                    )
+                    .policy(policy)
+                    .cost_report(false)
+                    .trace(sink.clone())
+                    .build();
+                for kind in [WorkloadKind::PageRank, WorkloadKind::ImageProc] {
+                    let _ = cluster.submit_with(Submission::new(kind), SubmitOptions::new());
+                }
+                let report = cluster.run();
+                let summary = report.trace_summary.expect("tracing armed");
+                let tracer = sink.lock().unwrap();
+                format!(
+                    "policy={} trace_events={} by_kind={:?}\n{}\n{}",
+                    report.policy,
+                    summary.events,
+                    summary.by_kind,
+                    tracer.to_chrome_trace(),
+                    tracer.to_jsonl()
+                )
+            }
+        })
+        .collect();
+    SweepRunner::new(threads).run(jobs)
+}
+
+#[test]
+fn trace_exports_are_byte_identical_across_threads() {
+    // The Chrome-trace and JSONL exports must not move by a byte for any
+    // `--threads`: the tracer observes the per-cluster event stream,
+    // which is single-threaded and deterministic, so the sweep's fan-out
+    // must not smear it.
+    let sequential = trace_rows(1);
+    assert!(
+        sequential.iter().all(|r| r.contains("traceEvents")),
+        "every row must carry a Chrome-trace export"
+    );
+    assert!(
+        sequential.iter().any(|r| r.contains("\"bubble\"")),
+        "the traced runs must record bubble spans"
+    );
+    for threads in [2, 4] {
+        let parallel = trace_rows(threads);
+        assert_eq!(
+            sequential, parallel,
+            "threads={threads} must not change a single byte of trace output"
+        );
     }
 }

@@ -271,11 +271,6 @@ pub fn pct(x: f64) -> String {
     format!("{:+.1}%", x * 100.0)
 }
 
-/// Formats `measured` next to the paper's published value.
-pub fn vs_paper(measured: f64, paper: f64) -> String {
-    format!("{} (paper {})", pct(measured), pct(paper))
-}
-
 /// Appends a section header.
 pub(crate) fn header(out: &mut Text, title: &str) {
     writeln!(out);
@@ -356,7 +351,6 @@ mod tests {
     fn formatting() {
         assert_eq!(pct(0.011), "+1.1%");
         assert_eq!(pct(-0.307), "-30.7%");
-        assert!(vs_paper(0.011, 0.009).contains("paper"));
     }
 
     fn parse(args: &[&str], env_threads: Option<usize>) -> BenchArgs {

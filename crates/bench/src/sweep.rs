@@ -34,11 +34,6 @@ impl SweepRunner {
         }
     }
 
-    /// A runner sized to the machine's available parallelism.
-    pub fn auto() -> Self {
-        SweepRunner::new(default_threads())
-    }
-
     /// Number of threads this runner fans out to.
     pub fn threads(&self) -> usize {
         self.threads

@@ -4,10 +4,10 @@
 //! The paper's middleware harvests the bubbles of *one* training job. A
 //! [`Cluster`] raises that surface to a fleet: each job keeps its own
 //! [`PipelineConfig`], seed, and co-location mode, all jobs advance in one
-//! event loop over one shared RPC bus (job-qualified endpoint namespace,
-//! see [`freeride_rpc::job_scope`]), and side tasks enter through a single
-//! cluster-wide [`Cluster::submit_with`] that routes each submission to a
-//! job's workers via a pluggable [`PlacementPolicy`]:
+//! event loop and draw their RPC latencies from one shared stream, and
+//! side tasks enter through a single cluster-wide [`Cluster::submit_with`]
+//! that routes each submission to a job's workers via a pluggable
+//! [`PlacementPolicy`]:
 //!
 //! * [`FirstFit`] — first worker (scanning jobs in order) with enough
 //!   bubble memory;
@@ -568,7 +568,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Seeds the shared RPC bus's jitter stream. Defaults to job 0's seed,
+    /// Seeds the shared RPC latency stream. Defaults to job 0's seed,
     /// which makes a one-job cluster byte-identical to the pre-cluster
     /// orchestrator.
     pub fn seed(mut self, seed: u64) -> Self {
@@ -1086,7 +1086,7 @@ impl Cluster {
         for slot in &self.jobs {
             slot.cfg.validate();
         }
-        let bus_seed = self.seed.unwrap_or(self.jobs[0].cfg.seed);
+        let rpc_seed = self.seed.unwrap_or(self.jobs[0].cfg.seed);
         let (outputs, profile) = {
             let specs: Vec<JobExecSpec<'_>> = self
                 .jobs
@@ -1102,7 +1102,7 @@ impl Cluster {
                 .collect();
             execute_cluster(
                 &specs,
-                bus_seed,
+                rpc_seed,
                 Arc::clone(&self.policy),
                 self.tracer.clone(),
                 self.profile,

@@ -3,10 +3,9 @@
 use freeride_gpu::MemBytes;
 use freeride_pipeline::ScheduleKind;
 use freeride_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's two programming interfaces a side task uses (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterfaceKind {
     /// Step-wise tasks; the interface checks state transitions between
     /// steps and applies the program-directed time limit. Lower overhead.
@@ -27,7 +26,7 @@ impl core::fmt::Display for InterfaceKind {
 }
 
 /// How side tasks are co-located with pipeline training (§6.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColocationMode {
     /// FreeRide: side tasks run only during bubbles.
     FreeRide(InterfaceKind),
@@ -52,7 +51,7 @@ impl core::fmt::Display for ColocationMode {
 ///
 /// Defaults reproduce the paper's deployment; the ablation benches sweep
 /// the interesting ones (grace period, RPC latency, safety margin).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FreeRideConfig {
     /// Co-location mode (FreeRide iterative/imperative, MPS, naive).
     pub mode: ColocationMode,

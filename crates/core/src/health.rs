@@ -9,7 +9,7 @@
 //! off them and moves work proactively — all inside the deterministic
 //! simulation:
 //!
-//! * **Failure detection** — workers emit heartbeats over the RPC bus;
+//! * **Failure detection** — workers send heartbeat RPCs;
 //!   a per-worker phi-accrual-style suspicion score
 //!   ([`FailureDetector::phi`]) drives `Healthy → Suspect → Dead`
 //!   transitions at exact simulated times. Crashes silence heartbeats,
@@ -47,13 +47,12 @@
 
 use crate::task::TaskId;
 use freeride_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Liveness of one worker as judged by the [`FailureDetector`].
 ///
 /// Marked `#[non_exhaustive]`: detector growth (e.g. a quarantine or
 /// degraded state) must not break downstream matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum HealthState {
     /// Heartbeats arrive on schedule.
@@ -86,7 +85,7 @@ impl core::fmt::Display for HealthState {
 }
 
 /// One state change in the failure detector's transition log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthTransition {
     /// The job whose detector observed the transition (stamped when
     /// per-job reports merge into the cluster report; `0` within a job).
@@ -454,7 +453,7 @@ impl Supervisor {
 /// keys latency stats on.
 /// Marked `#[non_exhaustive]`: each new recovery mechanism adds a kind
 /// (hedging was the latest), so downstream matches must carry a `_` arm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RecoveryKind {
     /// A retried submission finally stuck after transient rejections.
@@ -487,7 +486,7 @@ impl core::fmt::Display for RecoveryKind {
 }
 
 /// One task recovery under the chaos layer, attributed to its mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Recovery {
     /// The task that recovered (its original id).
     pub task: TaskId,
@@ -500,7 +499,7 @@ pub struct Recovery {
 /// Everything the health subsystem observed over one run: the detector's
 /// transition log, detection/recovery latencies, and supervisor action
 /// counts. Empty when no job armed a supervisor.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthReport {
     /// Every detector state change, in simulated-time order per job.
     pub transitions: Vec<HealthTransition>,

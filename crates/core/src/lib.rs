@@ -41,16 +41,16 @@
 //!   [`ClusterReport::service`];
 //! * the **health subsystem** ([`Supervisor`]): a deterministic
 //!   sim-time failure detector ([`FailureDetector`]) fed by worker
-//!   heartbeats over the RPC bus, driving `Healthy → Suspect → Dead`
+//!   heartbeat RPCs, driving `Healthy → Suspect → Dead`
 //!   transitions that drain workers ([`WorkerView::health`]), trigger
 //!   proactive checkpoint migration off failing workers, and hedge
 //!   stragglers with speculative duplicates — all reported in
 //!   [`ClusterReport::health`];
 //! * the **orchestrator** wiring the instrumented pipeline trainers,
-//!   managers, and workers together over one latency-modelled RPC bus
-//!   with a job-qualified endpoint namespace (driven by
-//!   [`Cluster::run`]; the batch helper [`run_colocation`] runs a one-job
-//!   cluster for the paper-experiment binaries);
+//!   managers, and workers together with RPC messages, each delivered
+//!   after one latency draw from a seeded stream all jobs share (driven
+//!   by [`Cluster::run`]; the batch helper [`run_colocation`] runs a
+//!   one-job cluster for the paper-experiment binaries);
 //! * the **baselines** of §6.1.2 (MPS and naive co-location) and the
 //!   **metrics** of §6.1.5 (time increase `I`, cost savings `S`, Fig. 9
 //!   bubble accounting);

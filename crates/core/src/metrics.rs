@@ -7,7 +7,6 @@
 
 use freeride_sim::SimDuration;
 use freeride_tasks::{ServerSpec, WorkloadProfile};
-use serde::Serialize;
 
 /// Time increase `I = (T_with − T_no) / T_no` — the performance overhead
 /// of co-locating side tasks with pipeline training. Lower is better; can
@@ -19,7 +18,7 @@ pub fn time_increase(baseline: SimDuration, with_side_tasks: SimDuration) -> f64
 }
 
 /// Work done by one side task during a run, for the cost model.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TaskWork {
     /// Steps completed while co-located (the paper's `W_sideTask,Server-I`).
     pub steps: u64,
@@ -43,7 +42,7 @@ impl TaskWork {
 }
 
 /// The complete cost evaluation of one co-location run.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CostReport {
     /// `T_noSideTask`.
     pub baseline_time: SimDuration,
@@ -88,7 +87,7 @@ pub fn evaluate(
 }
 
 /// Fig. 9's bubble-time breakdown for one run.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BubbleBreakdown {
     /// Total bubble time reported during serving epochs.
     pub total: SimDuration,
@@ -131,7 +130,7 @@ impl BubbleBreakdown {
 }
 
 /// Normalised Fig. 9 bar segments (sum to 1 when total > 0).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BreakdownFractions {
     /// "Running".
     pub running: f64,

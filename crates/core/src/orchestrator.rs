@@ -5,11 +5,11 @@
 //! Since the cluster API the world is **job-multiplexed**: one
 //! discrete-event simulation hosts N independent pipeline-training jobs
 //! (each a [`JobRuntime`]: its own engine, manager, workers, and devices,
-//! under its own seed and mode), wired through a **single shared
-//! [`RpcBus`]** whose endpoints live in a job-qualified [`Directory`]
-//! namespace (`"job3/worker1"`). Every event carries its job index, so the
-//! event loop dispatches to exactly one job's state machine — a one-job
-//! cluster is byte-identical to the pre-cluster single-job orchestrator.
+//! under its own seed and mode). Its RPC messages are events delivered
+//! after one latency draw each, from a seeded stream all jobs share
+//! ([`JobRuntime::send`]). Every event carries its job index, so the event
+//! loop dispatches to exactly one job's state machine — a one-job cluster
+//! is byte-identical to the pre-cluster single-job orchestrator.
 //!
 //! The public entry point is [`Cluster`]; this module owns the simulation
 //! world it runs on, plus two batch helpers for the paper-experiment
@@ -59,12 +59,10 @@ use freeride_obs::{
     ProfileCollector, ProfileReport, Subsystem, TraceEvent, TraceEventKind, TraceHandle,
 };
 use freeride_pipeline::{BubbleReport, EngineAction, PipelineConfig, PipelineEngine};
-use freeride_rpc::{job_scope, Directory, Endpoint, Envelope, LatencyModel, RpcBus};
 use freeride_sim::{
     DetRng, EventId, RunOutcome, Scheduler, SimDuration, SimTime, Simulation, TraceRecorder, World,
 };
 use freeride_tasks::{SideTaskWorkload, WorkloadProfile, WorkloadTag};
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -73,7 +71,7 @@ use std::sync::Arc;
 const RESTORE_ID_BASE: u64 = 1 << 63;
 
 /// Outcome of one submitted task.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TaskSummary {
     /// Task id.
     pub id: TaskId,
@@ -108,13 +106,25 @@ enum Msg {
     },
 }
 
+impl Msg {
+    /// The worker whose manager↔worker link carries the message; `None`
+    /// for a bubble report, which travels trainer→manager.
+    fn worker(&self) -> Option<usize> {
+        match self {
+            Msg::Bubble(_) => None,
+            Msg::Cmd(cmd) => Some(cmd_worker(cmd)),
+            Msg::Ack { worker, .. } | Msg::Heartbeat { worker } => Some(*worker),
+        }
+    }
+}
+
 enum Ev {
     LaunchOp(usize),
     EpochBoundary,
     DeviceTick(usize),
     ManagerPollPeriodic,
     ManagerPollOnce,
-    Deliver(Envelope<Msg>),
+    Deliver(Msg),
     /// An online submission's arrival time was reached (index into
     /// `JobRuntime::arrivals`).
     Arrival(usize),
@@ -185,8 +195,8 @@ struct LostTask {
 }
 
 /// One training job's complete simulation state: pipeline engine, manager,
-/// workers, devices, and bookkeeping — everything except the RPC bus,
-/// which is shared across all jobs of the cluster.
+/// workers, devices, and bookkeeping — everything except the RPC latency
+/// stream, which all jobs of the cluster share.
 struct JobRuntime {
     /// This job's index in the cluster (tags every scheduled event).
     job: usize,
@@ -196,9 +206,6 @@ struct JobRuntime {
     engine: PipelineEngine,
     manager: SideTaskManager,
     workers: Vec<Worker>,
-    ep_trainer: Endpoint,
-    ep_manager: Endpoint,
-    ep_workers: Vec<Endpoint>,
     pending_create: BTreeMap<TaskId, SideTask>,
     pid_index: BTreeMap<ProcessId, (usize, TaskId)>,
     tick_ids: Vec<Option<EventId>>,
@@ -308,18 +315,35 @@ impl JobRuntime {
             && self.workers.iter().all(|w| !w.has_live_tasks())
     }
 
-    fn send(
-        &mut self,
-        now: SimTime,
-        from: Endpoint,
-        to: Endpoint,
-        msg: Msg,
-        bus: &mut RpcBus,
-        s: &mut Scheduler<'_, ClusterEv>,
-    ) {
-        let (at, env) = bus.send(now, from, to, msg);
-        let ev = self.ev(Ev::Deliver(env));
+    /// Sends `msg`: its delivery is an event one [`Self::latency`] after
+    /// `now`.
+    fn send(&mut self, now: SimTime, msg: Msg, rpc: &mut DetRng, s: &mut Scheduler<'_, ClusterEv>) {
+        let at = now + self.latency(&msg, rpc);
+        let ev = self.ev(Ev::Deliver(msg));
         s.schedule_at(at, ev);
+    }
+
+    /// The one-way latency of `msg`, drawn from the shared stream `rpc`.
+    /// While an RPC spike is open on the worker of a manager↔worker
+    /// message, the latest-opened one fixes its latency; every other
+    /// message samples this job's own `rpc_latency` and `rpc_jitter`.
+    fn latency(&self, msg: &Msg, rpc: &mut DetRng) -> SimDuration {
+        let spike = msg.worker().and_then(|w| {
+            self.open_faults
+                .iter()
+                .rev()
+                .find_map(|&i| match self.faults[i].kind {
+                    FaultKind::RpcSpike {
+                        worker, latency, ..
+                    } if worker == w => Some(latency),
+                    _ => None,
+                })
+        });
+        let (base, jitter) = match spike {
+            Some(latency) => (latency, 0.0),
+            None => (self.cfg.rpc_latency, self.cfg.rpc_jitter),
+        };
+        rpc_latency(base, jitter, rpc)
     }
 
     /// Readies worker `wi` for a handler that changes it or its device:
@@ -366,17 +390,17 @@ impl JobRuntime {
         &mut self,
         now: SimTime,
         g: usize,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         let completions = self.devices[g].advance_through(now);
         for c in completions {
             if self.engine.stage_of_pid(c.process).is_some() {
                 let actions = self.engine.on_op_complete(now, g);
-                self.apply_engine_actions(now, actions, bus, s);
+                self.apply_engine_actions(now, actions, rpc, s);
             } else if let Some(&(wi, task)) = self.pid_index.get(&c.process) {
                 let fx = self.workers[wi].on_step_complete(now, task, &mut self.devices[wi]);
-                self.apply_worker_effects(now, wi, fx, bus, s);
+                self.apply_worker_effects(now, wi, fx, rpc, s);
             }
         }
     }
@@ -390,7 +414,7 @@ impl JobRuntime {
         &mut self,
         now: SimTime,
         actions: Vec<EngineAction>,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         for a in actions {
@@ -406,14 +430,7 @@ impl JobRuntime {
                 EngineAction::BubbleStart(r) => {
                     self.emit_with(now, Some(r.stage), || TraceEventKind::BubbleBegin);
                     if self.is_freeride() {
-                        self.send(
-                            now,
-                            self.ep_trainer,
-                            self.ep_manager,
-                            Msg::Bubble(r),
-                            bus,
-                            s,
-                        );
+                        self.send(now, Msg::Bubble(r), rpc, s);
                     }
                 }
                 EngineAction::BubbleEnd { stage, at } => {
@@ -425,13 +442,13 @@ impl JobRuntime {
                 EngineAction::TrainingDone { .. } => {
                     self.training_done = true;
                     self.emit_with(now, None, || TraceEventKind::TrainingDone);
-                    self.issue_stops(now, bus, s);
+                    self.issue_stops(now, rpc, s);
                 }
             }
         }
     }
 
-    fn issue_stops(&mut self, now: SimTime, bus: &mut RpcBus, s: &mut Scheduler<'_, ClusterEv>) {
+    fn issue_stops(&mut self, now: SimTime, rpc: &mut DetRng, s: &mut Scheduler<'_, ClusterEv>) {
         if self.stops_issued {
             return;
         }
@@ -462,8 +479,7 @@ impl JobRuntime {
             if let ManagerCmd::Stop { task, .. } = cmd {
                 self.stop_sent.insert(task);
             }
-            let to = self.ep_workers[cmd_worker(&cmd)];
-            self.send(now, self.ep_manager, to, Msg::Cmd(cmd), bus, s);
+            self.send(now, Msg::Cmd(cmd), rpc, s);
         }
     }
 
@@ -476,28 +492,20 @@ impl JobRuntime {
         worker: usize,
         task: TaskId,
         state: SideTaskState,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) -> bool {
         if !self.stops_issued || state == SideTaskState::Stopped || !self.stop_sent.insert(task) {
             return false;
         }
-        let to = self.ep_workers[worker];
-        self.send(
-            now,
-            self.ep_manager,
-            to,
-            Msg::Cmd(ManagerCmd::Stop { worker, task }),
-            bus,
-            s,
-        );
+        self.send(now, Msg::Cmd(ManagerCmd::Stop { worker, task }), rpc, s);
         true
     }
 
     fn run_manager_poll(
         &mut self,
         now: SimTime,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         if !self.is_freeride() {
@@ -507,8 +515,7 @@ impl JobRuntime {
         cmds.clear();
         self.manager.poll_into(now, &mut cmds);
         for cmd in cmds.drain(..) {
-            let to = self.ep_workers[cmd_worker(&cmd)];
-            self.send(now, self.ep_manager, to, Msg::Cmd(cmd), bus, s);
+            self.send(now, Msg::Cmd(cmd), rpc, s);
         }
         self.cmd_buf = cmds;
     }
@@ -585,7 +592,7 @@ impl JobRuntime {
         &mut self,
         now: SimTime,
         idx: usize,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         policy: &dyn PlacementPolicy,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
@@ -640,8 +647,7 @@ impl JobRuntime {
                     detail: format!("worker{w}"),
                 });
                 self.placements.push((slot.id, w, slot.tag, slot.profile));
-                let to = self.ep_workers[w];
-                self.send(now, self.ep_manager, to, Msg::Cmd(cmd), bus, s);
+                self.send(now, Msg::Cmd(cmd), rpc, s);
             }
             Err(e) => {
                 self.emit_with(now, slot.pinned, || TraceEventKind::Placement {
@@ -686,7 +692,7 @@ impl JobRuntime {
         &mut self,
         now: SimTime,
         idx: usize,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         policy: &dyn PlacementPolicy,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
@@ -712,7 +718,7 @@ impl JobRuntime {
                 // every live side task down with the daemon. Training is
                 // untouched: the crash models the side-task daemon dying,
                 // not the GPU or the pipeline rank.
-                self.drain_device(now, worker, bus, s);
+                self.drain_device(now, worker, rpc, s);
                 let killed = self.workers[worker].crash(now, &mut self.devices[worker]);
                 let forgotten = self.manager.on_worker_crash(worker);
                 // Tasks placed on the worker whose Create RPC had not
@@ -756,7 +762,7 @@ impl JobRuntime {
                 factor,
                 duration: _,
             } => {
-                self.drain_device(now, worker, bus, s);
+                self.drain_device(now, worker, rpc, s);
                 let slow = self.base_speeds[worker] * factor;
                 self.devices[worker].set_compute_speed(now, slow);
                 self.resync_device(worker, s);
@@ -766,14 +772,9 @@ impl JobRuntime {
                 let end = now + duration;
                 self.oom_until = Some(self.oom_until.map_or(end, |t| t.max(end)));
             }
-            FaultKind::RpcSpike {
-                worker,
-                latency,
-                duration: _,
-            } => {
-                let spike = LatencyModel::fixed(latency);
-                bus.set_link_latency(self.ep_manager, self.ep_workers[worker], spike.clone());
-                bus.set_link_latency(self.ep_workers[worker], self.ep_manager, spike);
+            FaultKind::RpcSpike { .. } => {
+                // Now in `open_faults`: the worker's manager↔worker
+                // messages pay the spike (`JobRuntime::latency`).
             }
         }
     }
@@ -796,7 +797,7 @@ impl JobRuntime {
         &mut self,
         now: SimTime,
         idx: usize,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         let fault = self.faults[idx].kind;
@@ -810,7 +811,7 @@ impl JobRuntime {
         let still_open = self.open_window_like(&fault);
         match fault {
             FaultKind::Straggler { worker, .. } => {
-                self.drain_device(now, worker, bus, s);
+                self.drain_device(now, worker, rpc, s);
                 let base = self.base_speeds[worker];
                 let speed = match still_open {
                     Some(FaultKind::Straggler { factor, .. }) => base * factor,
@@ -820,32 +821,18 @@ impl JobRuntime {
                 self.resync_device(worker, s);
                 self.record_device(now, worker);
             }
-            FaultKind::RpcSpike { worker, .. } => {
-                // Back to this job's own RPC physics once no spike is
-                // left. Overriding with the model the link already carries
-                // does not perturb the jitter stream, so an un-spiked link
-                // is indistinguishable from one that never spiked.
-                let model = match still_open {
-                    Some(FaultKind::RpcSpike { latency, .. }) => LatencyModel::fixed(latency),
-                    _ => LatencyModel {
-                        base: self.cfg.rpc_latency,
-                        jitter_sigma: self.cfg.rpc_jitter,
-                    },
-                };
-                bus.set_link_latency(self.ep_manager, self.ep_workers[worker], model.clone());
-                bus.set_link_latency(self.ep_workers[worker], self.ep_manager, model);
-            }
             FaultKind::WorkerCrash { .. } if still_open.is_some() => {
                 // Another crash window keeps the daemon down.
             }
             FaultKind::WorkerCrash { worker, .. } => {
                 self.down_until[worker] = None;
                 if self.ckpt_interval.is_some() && !self.stops_issued && !self.training_done {
-                    self.restore_lost_tasks(now, worker, bus, s);
+                    self.restore_lost_tasks(now, worker, rpc, s);
                 }
             }
-            FaultKind::OomWindow { .. } => {
-                // Time-bounded by `oom_until`; nothing to restore.
+            FaultKind::RpcSpike { .. } | FaultKind::OomWindow { .. } => {
+                // Nothing to restore: `latency` reads the spikes left in
+                // `open_faults`, and `oom_until` bounds an OOM window.
             }
         }
     }
@@ -856,7 +843,7 @@ impl JobRuntime {
         &mut self,
         now: SimTime,
         worker: usize,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         let mut to_restore = Vec::new();
@@ -882,7 +869,7 @@ impl JobRuntime {
                 profile,
                 root,
                 RecoveryKind::Rejoin,
-                bus,
+                rpc,
                 s,
             );
         }
@@ -896,7 +883,7 @@ impl JobRuntime {
         &mut self,
         now: SimTime,
         from: usize,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         let mut to_move = Vec::new();
@@ -924,7 +911,7 @@ impl JobRuntime {
                 profile,
                 root,
                 RecoveryKind::Migration,
-                bus,
+                rpc,
                 s,
             );
             if let Some(sup) = &mut self.supervisor {
@@ -966,7 +953,7 @@ impl JobRuntime {
         profile: WorkloadProfile,
         root: TaskId,
         kind: RecoveryKind,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         let new_id = TaskId(RESTORE_ID_BASE | self.next_restore_id);
@@ -997,8 +984,7 @@ impl JobRuntime {
             task: l.orig.0,
             kind: kind.label(),
         });
-        let to = self.ep_workers[target];
-        self.send(now, self.ep_manager, to, Msg::Cmd(cmd), bus, s);
+        self.send(now, Msg::Cmd(cmd), rpc, s);
     }
 
     /// Periodic checkpoint snapshot: record every live task's step count
@@ -1028,22 +1014,20 @@ impl JobRuntime {
     /// A worker daemon's heartbeat emission is due. A downed daemon stays
     /// silent (the whole point of the detector); a straggling one emits
     /// proportionally slower, so the suspicion score rises with the
-    /// slowdown. The beacon rides the RPC bus, so `rpc_spike` latency
+    /// slowdown. The beacon is an RPC message, so `rpc_spike` latency
     /// delays its delivery and perturbs the score too.
     fn handle_heartbeat(
         &mut self,
         now: SimTime,
         worker: usize,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         if self.supervisor.is_none() || self.finished() {
             return; // chain dies with the run, so the sim can drain
         }
         if !self.worker_down(now, worker) {
-            let from = self.ep_workers[worker];
-            let to = self.ep_manager;
-            self.send(now, from, to, Msg::Heartbeat { worker }, bus, s);
+            self.send(now, Msg::Heartbeat { worker }, rpc, s);
         }
         let base = self.base_speeds[worker];
         let speed = self.devices[worker].compute_speed();
@@ -1062,7 +1046,7 @@ impl JobRuntime {
     fn handle_health_check(
         &mut self,
         now: SimTime,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         if self.finished() {
@@ -1084,7 +1068,7 @@ impl JobRuntime {
                 HealthState::Healthy => false,
             };
             if evict && self.ckpt_interval.is_some() && !self.stops_issued && !self.training_done {
-                self.migrate_lost_tasks(now, tr.worker, bus, s);
+                self.migrate_lost_tasks(now, tr.worker, rpc, s);
             }
         }
         let ev = self.ev(Ev::HealthCheck);
@@ -1095,7 +1079,7 @@ impl JobRuntime {
     fn handle_hedge_check(
         &mut self,
         now: SimTime,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         let Some(sup) = &self.supervisor else {
@@ -1108,7 +1092,7 @@ impl JobRuntime {
             return;
         }
         if !self.stops_issued && !self.training_done {
-            self.hedge_laggards(now, threshold, bus, s);
+            self.hedge_laggards(now, threshold, rpc, s);
         }
         let ev = self.ev(Ev::HedgeCheck);
         s.schedule_after(HEDGE_INTERVAL, ev);
@@ -1122,7 +1106,7 @@ impl JobRuntime {
         &mut self,
         now: SimTime,
         threshold: f64,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         self.catch_up_all(now);
@@ -1178,8 +1162,7 @@ impl JobRuntime {
                 .push((dup, target, sub.tag().clone(), profile));
             self.restore_subs.insert(dup, (sub, profile, root));
             self.hedges.insert(id, (dup, now));
-            let to = self.ep_workers[target];
-            self.send(now, self.ep_manager, to, Msg::Cmd(cmd), bus, s);
+            self.send(now, Msg::Cmd(cmd), rpc, s);
         }
     }
 
@@ -1260,26 +1243,20 @@ impl JobRuntime {
         now: SimTime,
         worker: usize,
         effects: Vec<WorkerEffect>,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         for e in effects {
             match e {
                 WorkerEffect::Ack { task, state } => {
                     if self.is_freeride() {
-                        self.send(
-                            now,
-                            self.ep_workers[worker],
-                            self.ep_manager,
-                            Msg::Ack {
-                                worker,
-                                task,
-                                state,
-                            },
-                            bus,
-                            s,
-                        );
-                    } else if !self.stop_straggler(now, worker, task, state, bus, s) {
+                        let ack = Msg::Ack {
+                            worker,
+                            task,
+                            state,
+                        };
+                        self.send(now, ack, rpc, s);
+                    } else if !self.stop_straggler(now, worker, task, state, rpc, s) {
                         // Baselines have no manager loop: drive the task
                         // straight through Init and then run it
                         // continuously (an infinite "bubble").
@@ -1293,14 +1270,7 @@ impl JobRuntime {
                             _ => None,
                         };
                         if let Some(cmd) = next {
-                            self.send(
-                                now,
-                                self.ep_manager,
-                                self.ep_workers[worker],
-                                Msg::Cmd(cmd),
-                                bus,
-                                s,
-                            );
+                            self.send(now, Msg::Cmd(cmd), rpc, s);
                         }
                     }
                 }
@@ -1337,7 +1307,7 @@ impl JobRuntime {
         &mut self,
         now: SimTime,
         cmd: ManagerCmd,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
         let wi = cmd_worker(&cmd);
@@ -1383,18 +1353,18 @@ impl JobRuntime {
                 }
             }
         };
-        self.apply_worker_effects(now, wi, effects, bus, s);
+        self.apply_worker_effects(now, wi, effects, rpc, s);
         self.resync_device(wi, s);
         self.record_device(now, wi);
     }
 
     /// One job's event dispatch — the body of the pre-cluster
-    /// `World::handle`, with the shared bus threaded in.
+    /// `World::handle`, with the shared RPC latency stream threaded in.
     fn handle_ev(
         &mut self,
         now: SimTime,
         event: Ev,
-        bus: &mut RpcBus,
+        rpc: &mut DetRng,
         policy: &dyn PlacementPolicy,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
@@ -1402,39 +1372,39 @@ impl JobRuntime {
             Ev::LaunchOp(stage) => {
                 self.touch(now, stage, s);
                 let actions = self.engine.launch_due(now, stage, &mut self.devices);
-                self.apply_engine_actions(now, actions, bus, s);
+                self.apply_engine_actions(now, actions, rpc, s);
                 self.resync_device(stage, s);
                 self.record_device(now, stage);
             }
             Ev::EpochBoundary => {
                 let actions = self.engine.epoch_boundary(now);
-                self.apply_engine_actions(now, actions, bus, s);
+                self.apply_engine_actions(now, actions, rpc, s);
             }
             Ev::DeviceTick(g) => {
                 self.tick_ids[g] = None;
                 self.touch(now, g, s);
-                self.drain_device(now, g, bus, s);
+                self.drain_device(now, g, rpc, s);
                 self.resync_device(g, s);
                 self.record_device(now, g);
             }
             Ev::ManagerPollPeriodic => {
-                self.run_manager_poll(now, bus, s);
+                self.run_manager_poll(now, rpc, s);
                 if !self.finished() {
                     let ev = self.ev(Ev::ManagerPollPeriodic);
                     s.schedule_after(self.cfg.manager_poll_interval, ev);
                 }
             }
             Ev::ManagerPollOnce => {
-                self.run_manager_poll(now, bus, s);
+                self.run_manager_poll(now, rpc, s);
             }
-            Ev::Arrival(idx) => self.handle_arrival(now, idx, bus, policy, s),
-            Ev::Fault(idx) => self.handle_fault(now, idx, bus, policy, s),
-            Ev::FaultEnd(idx) => self.handle_fault_end(now, idx, bus, s),
+            Ev::Arrival(idx) => self.handle_arrival(now, idx, rpc, policy, s),
+            Ev::Fault(idx) => self.handle_fault(now, idx, rpc, policy, s),
+            Ev::FaultEnd(idx) => self.handle_fault_end(now, idx, rpc, s),
             Ev::Checkpoint => self.handle_checkpoint(now, s),
-            Ev::Heartbeat(w) => self.handle_heartbeat(now, w, bus, s),
-            Ev::HealthCheck => self.handle_health_check(now, bus, s),
-            Ev::HedgeCheck => self.handle_hedge_check(now, bus, s),
-            Ev::Deliver(env) => match env.msg {
+            Ev::Heartbeat(w) => self.handle_heartbeat(now, w, rpc, s),
+            Ev::HealthCheck => self.handle_health_check(now, rpc, s),
+            Ev::HedgeCheck => self.handle_hedge_check(now, rpc, s),
+            Ev::Deliver(msg) => match msg {
                 Msg::Bubble(r) => {
                     self.bubbles_reported += 1;
                     self.bubble_total += r.duration;
@@ -1447,12 +1417,12 @@ impl JobRuntime {
                         self.bubble_unused += r.duration;
                     }
                     self.manager.add_bubble(r.stage, r);
-                    self.run_manager_poll(now, bus, s);
+                    self.run_manager_poll(now, rpc, s);
                     // Pause promptly when the bubble expires.
                     let ev = self.ev(Ev::ManagerPollOnce);
                     s.schedule_at(r.predicted_end().max(now), ev);
                 }
-                Msg::Cmd(cmd) => self.handle_cmd(now, cmd, bus, s),
+                Msg::Cmd(cmd) => self.handle_cmd(now, cmd, rpc, s),
                 Msg::Ack {
                     worker,
                     task,
@@ -1463,8 +1433,8 @@ impl JobRuntime {
                         state: state.label(),
                     });
                     self.manager.on_task_state(worker, task, state);
-                    self.stop_straggler(now, worker, task, state, bus, s);
-                    self.run_manager_poll(now, bus, s);
+                    self.stop_straggler(now, worker, task, state, rpc, s);
+                    self.run_manager_poll(now, rpc, s);
                 }
                 Msg::Heartbeat { worker } => {
                     if let Some(sup) = &mut self.supervisor {
@@ -1474,11 +1444,11 @@ impl JobRuntime {
             },
             Ev::InitDone { worker, task } => {
                 let fx = self.workers[worker].init_done(now, task);
-                self.apply_worker_effects(now, worker, fx, bus, s);
+                self.apply_worker_effects(now, worker, fx, rpc, s);
             }
             Ev::StepLaunch { worker, task } => {
                 let fx = self.workers[worker].step_launch_due(now, task, &mut self.devices[worker]);
-                self.apply_worker_effects(now, worker, fx, bus, s);
+                self.apply_worker_effects(now, worker, fx, rpc, s);
                 self.resync_device(worker, s);
             }
             Ev::GraceCheck {
@@ -1493,12 +1463,31 @@ impl JobRuntime {
                     requested_at,
                     &mut self.devices[worker],
                 );
-                self.apply_worker_effects(now, worker, fx, bus, s);
+                self.apply_worker_effects(now, worker, fx, rpc, s);
                 self.resync_device(worker, s);
                 self.record_device(now, worker);
             }
         }
     }
+}
+
+/// One RPC message's one-way latency: `base` scaled by a seeded jitter
+/// factor of relative sigma `jitter`, clamped at ±4σ
+/// ([`DetRng::jitter_factor`]). A jitter of 0 takes no draw.
+///
+/// The paper wires the instrumented trainer, the side-task manager and the
+/// per-GPU workers together with gRPC (§4.6), and part of the middleware's
+/// residual overhead comes from these RPCs: a bubble report and a
+/// `StartSideTask()` round trip must happen before a side task can use a
+/// bubble, and a `PauseSideTask()` must land before the bubble ends. Each
+/// message is therefore delivered as an event this latency after its send.
+/// The config defaults (120 µs ± 20%) approximate same-host gRPC over
+/// loopback, the paper's deployment.
+fn rpc_latency(base: SimDuration, jitter: f64, rpc: &mut DetRng) -> SimDuration {
+    if jitter == 0.0 {
+        return base;
+    }
+    base.mul_f64(rpc.jitter_factor(jitter))
 }
 
 fn cmd_worker(cmd: &ManagerCmd) -> usize {
@@ -1545,10 +1534,12 @@ impl Ev {
 }
 
 /// The cluster-wide simulation world: N job runtimes sharing one event
-/// queue and one RPC bus.
+/// queue and one RPC latency stream.
 struct ClusterWorld {
     jobs: Vec<JobRuntime>,
-    bus: RpcBus,
+    /// Every job's RPC latencies are drawn from this one stream, in send
+    /// order.
+    rpc: DetRng,
     /// The cluster's placement policy, consulted by resilience middleware
     /// (circuit breakers observe failures and mask workers mid-run).
     policy: Arc<dyn PlacementPolicy>,
@@ -1564,7 +1555,7 @@ impl World for ClusterWorld {
         if self.profile.is_none() {
             let job = &mut self.jobs[event.job];
             job.events_processed += 1;
-            job.handle_ev(now, event.ev, &mut self.bus, self.policy.as_ref(), s);
+            job.handle_ev(now, event.ev, &mut self.rpc, self.policy.as_ref(), s);
             return;
         }
         let bucket = event.ev.subsystem();
@@ -1572,7 +1563,7 @@ impl World for ClusterWorld {
         let start = std::time::Instant::now();
         let job = &mut self.jobs[event.job];
         job.events_processed += 1;
-        job.handle_ev(now, event.ev, &mut self.bus, self.policy.as_ref(), s);
+        job.handle_ev(now, event.ev, &mut self.rpc, self.policy.as_ref(), s);
         if let Some(collector) = &mut self.profile {
             collector.record(bucket, start.elapsed());
         }
@@ -1608,9 +1599,9 @@ pub(crate) struct JobExecSpec<'a> {
 /// Runs N pipeline-training jobs co-located with their accepted
 /// submissions in **one** deterministic simulation, to completion.
 ///
-/// `bus_seed` seeds the shared RPC bus's jitter stream. The cluster
-/// defaults it to job 0's seed, which makes a one-job execution's stream
-/// identical to the pre-cluster orchestrator's. `policy` is consulted
+/// `rpc_seed` seeds the shared RPC latency stream. The cluster defaults
+/// it to job 0's seed, which makes a one-job execution's stream identical
+/// to the pre-cluster orchestrator's. `policy` is consulted
 /// during online admission so resilience middleware (circuit breakers)
 /// can observe failures and mask workers mid-run; the hooks it uses are
 /// no-op defaults on plain policies, so they never perturb the event
@@ -1623,26 +1614,12 @@ pub(crate) struct JobExecSpec<'a> {
 /// stream exactly.
 pub(crate) fn execute_cluster(
     jobs: &[JobExecSpec<'_>],
-    bus_seed: u64,
+    rpc_seed: u64,
     policy: Arc<dyn PlacementPolicy>,
     tracer: Option<TraceHandle>,
     profile: bool,
 ) -> (Vec<ExecutionOutput>, Option<ProfileReport>) {
     assert!(!jobs.is_empty(), "cluster needs at least one job");
-
-    // One job-qualified directory and one bus span every job. The global
-    // latency model is job 0's; every job's own links get per-link
-    // overrides carrying that job's RPC physics, so heterogeneous configs
-    // coexist on the shared bus.
-    let mut directory = Directory::new();
-    let bus_rng = DetRng::seed_from_u64(bus_seed);
-    let mut bus = RpcBus::new(
-        LatencyModel {
-            base: jobs[0].cfg.rpc_latency,
-            jitter_sigma: jobs[0].cfg.rpc_jitter,
-        },
-        bus_rng.derive("rpc"),
-    );
 
     let mut runtimes: Vec<JobRuntime> = Vec::with_capacity(jobs.len());
     let mut initial_cmds_per_job: Vec<Vec<ManagerCmd>> = Vec::with_capacity(jobs.len());
@@ -1673,40 +1650,6 @@ pub(crate) fn execute_cluster(
         };
         let mut engine = PipelineEngine::new(pipeline_cfg.clone(), fr_cfg.schedule)
             .with_instrumentation_overhead(instr);
-
-        let scope = job_scope(j);
-        let ep_trainer = directory
-            .register_scoped(&scope, "trainer")
-            .expect("job scopes are unique");
-        let ep_manager = directory
-            .register_scoped(&scope, "manager")
-            .expect("job scopes are unique");
-        let ep_workers: Vec<Endpoint> = (0..pipeline_cfg.stages)
-            .map(|i| {
-                directory
-                    .register_scoped(&scope, &format!("worker{i}"))
-                    .expect("job scopes are unique")
-            })
-            .collect();
-
-        // This job's links carry its own RPC physics on the shared bus.
-        // Links whose model equals the global one are left to the default
-        // (sampling is identical either way), so homogeneous clusters —
-        // and every one-job run — keep an empty link table on the send
-        // hot path.
-        if fr_cfg.rpc_latency != jobs[0].cfg.rpc_latency
-            || fr_cfg.rpc_jitter != jobs[0].cfg.rpc_jitter
-        {
-            let link_model = LatencyModel {
-                base: fr_cfg.rpc_latency,
-                jitter_sigma: fr_cfg.rpc_jitter,
-            };
-            bus.set_link_latency(ep_trainer, ep_manager, link_model.clone());
-            for &w in &ep_workers {
-                bus.set_link_latency(ep_manager, w, link_model.clone());
-                bus.set_link_latency(w, ep_manager, link_model.clone());
-            }
-        }
 
         let worker_mem: Vec<_> = (0..pipeline_cfg.stages)
             .map(|st| pipeline_cfg.stage_free_memory(st))
@@ -1839,9 +1782,6 @@ pub(crate) fn execute_cluster(
             devices: world_devices,
             engine,
             manager,
-            ep_trainer,
-            ep_manager,
-            ep_workers,
             pending_create,
             pid_index: BTreeMap::new(),
             placements,
@@ -1867,7 +1807,7 @@ pub(crate) fn execute_cluster(
 
     let world = ClusterWorld {
         jobs: runtimes,
-        bus,
+        rpc: DetRng::seed_from_u64(rpc_seed).derive("rpc"),
         policy,
         profile: profile.then(ProfileCollector::new),
     };
@@ -1903,26 +1843,17 @@ pub(crate) fn execute_cluster(
             }
         }
         // Seed task creation RPCs for up-front submissions.
-        {
-            let mut cmd_events = Vec::new();
-            {
-                let w = sim.world_mut();
-                for cmd in initial_cmds {
-                    let to = w.jobs[j].ep_workers[cmd_worker(&cmd)];
-                    let from = w.jobs[j].ep_manager;
-                    let (at, env) = w.bus.send(SimTime::ZERO, from, to, Msg::Cmd(cmd));
-                    cmd_events.push((at, env));
-                }
-            }
-            for (at, env) in cmd_events {
-                sim.seed_at(
-                    at,
-                    ClusterEv {
-                        job: j,
-                        ev: Ev::Deliver(env),
-                    },
-                );
-            }
+        for cmd in initial_cmds {
+            let msg = Msg::Cmd(cmd);
+            let w = sim.world_mut();
+            let at = SimTime::ZERO + w.jobs[j].latency(&msg, &mut w.rpc);
+            sim.seed_at(
+                at,
+                ClusterEv {
+                    job: j,
+                    ev: Ev::Deliver(msg),
+                },
+            );
         }
         // Seed online arrivals and the manager loop.
         for (idx, at) in arrival_times_per_job[j].iter().enumerate() {
@@ -2136,7 +2067,6 @@ pub fn run_colocation(
     fr_cfg: &FreeRideConfig,
     submissions: &[Submission],
 ) -> DeploymentReport {
-    fr_cfg.validate();
     let mut cluster = Cluster::builder()
         .job(ClusterJob::new(pipeline_cfg.clone()).config(fr_cfg.clone()))
         .cost_report(false)
@@ -2166,4 +2096,26 @@ pub fn run_baseline_with(
     schedule: freeride_pipeline::ScheduleKind,
 ) -> SimDuration {
     freeride_pipeline::run_training(pipeline_cfg, schedule).total_time
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A spike's fixed latency is delivered exactly at both extremes (zero
+    /// lands at the send instant, an hour neither overflows nor jitters),
+    /// and a zero-jitter sample leaves the shared stream untouched.
+    #[test]
+    fn fixed_latencies_are_exact_and_take_no_draw() {
+        let mut rpc = DetRng::seed_from_u64(1);
+        let now = SimTime::from_millis(7);
+        for latency in [
+            SimDuration::ZERO,
+            SimDuration::from_micros(100),
+            SimDuration::from_secs(3_600),
+        ] {
+            assert_eq!(now + rpc_latency(latency, 0.0, &mut rpc), now + latency);
+        }
+        assert_eq!(rpc.next_f64(), DetRng::seed_from_u64(1).next_f64());
+    }
 }

@@ -17,11 +17,10 @@ use crate::config::InterfaceKind;
 use freeride_gpu::{GpuId, HardwareSpec, KernelSpec, MemBytes, Priority, SharingKind};
 use freeride_sim::{SimDuration, SimTime};
 use freeride_tasks::{SideTaskWorkload, WorkloadProfile};
-use serde::Serialize;
 
 /// What the profiler measured (step ➋'s output, submitted to the manager
 /// together with the task in step ➌).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredProfile {
     /// Peak GPU memory the task process held.
     pub gpu_memory: MemBytes,

@@ -18,10 +18,9 @@
 //! `STOPPED` holds nothing.
 
 use freeride_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The five life-cycle states of a side task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SideTaskState {
     /// Profiled and submitted to the manager; no process yet.
     Submitted,
@@ -63,7 +62,7 @@ impl core::fmt::Display for SideTaskState {
 }
 
 /// The six state transitions of Fig. 4(a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transition {
     /// Worker creates the side-task process (`SUBMITTED → CREATED`).
     CreateSideTask,

@@ -5,10 +5,9 @@ use crate::state::{SideTaskState, StateMachine, Transition};
 use freeride_gpu::{ContainerId, MemBytes, ProcessId};
 use freeride_sim::SimTime;
 use freeride_tasks::{SideTaskWorkload, WorkloadProfile, WorkloadTag};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a submitted side task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u64);
 
 impl core::fmt::Display for TaskId {
@@ -44,7 +43,7 @@ pub enum Misbehavior {
 /// Marked `#[non_exhaustive]`: the stop vocabulary grows with every
 /// resilience mechanism (most recently `WorkerLost` and `HedgeLost`), so
 /// downstream matches must carry a `_` arm instead of breaking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StopReason {
     /// Still running / never stopped.

@@ -92,9 +92,6 @@ impl GpuModelFactory for DefaultGpuModel {
 /// assert_eq!(gpu.next_completion_time(),
 ///            Some(SimTime::from_millis(100)));
 /// ```
-// Deliberately NOT serde-derived: the factory is a trait object, which
-// real serde cannot derive — a wire format for specs would serialize
-// (name, memory, speed) and resolve the factory by name on load.
 #[derive(Clone)]
 pub struct HardwareSpec {
     name: Arc<str>,

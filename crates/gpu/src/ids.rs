@@ -1,10 +1,9 @@
 //! Identifier newtypes for the GPU substrate.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Index of a GPU device in the simulated server (0-based, as in `cuda:0`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GpuId(pub u32);
 
 impl fmt::Display for GpuId {
@@ -14,7 +13,7 @@ impl fmt::Display for GpuId {
 }
 
 /// A process with a context on some GPU (training rank or side task).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u64);
 
 impl fmt::Display for ProcessId {
@@ -24,7 +23,7 @@ impl fmt::Display for ProcessId {
 }
 
 /// A launched kernel instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KernelId(pub u64);
 
 impl fmt::Display for KernelId {
@@ -34,7 +33,7 @@ impl fmt::Display for KernelId {
 }
 
 /// An isolation container (Docker stand-in) hosting side-task processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContainerId(pub u64);
 
 impl fmt::Display for ContainerId {

@@ -12,13 +12,12 @@
 
 use crate::ids::{KernelId, ProcessId};
 use freeride_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Scheduling priority of a process's kernels under MPS.
 ///
 /// The paper gives pipeline training the highest priority and side tasks a
 /// lower one (§6.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Side tasks and other harvesting work.
     Low,

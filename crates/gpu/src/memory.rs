@@ -7,12 +7,9 @@
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// A size in bytes of GPU memory.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MemBytes(u64);
 
 const BYTES_PER_MIB: u64 = 1 << 20;

@@ -125,17 +125,14 @@ mod tests {
     #[test]
     fn round_trips_strings() {
         let mut m = BTreeMap::new();
-        m.insert(
-            "vendor/serde/src/lib.rs".to_string(),
-            "cafe0123".to_string(),
-        );
+        m.insert("vendor/rand/src/lib.rs".to_string(), "cafe0123".to_string());
         let text = format!("{{\n{}\n}}\n", render_section("files", &m, true));
         let back = match section_entries(&text, "files") {
             Ok(b) => b,
             Err(e) => panic!("{e}"),
         };
         assert_eq!(
-            back.get("vendor/serde/src/lib.rs").map(String::as_str),
+            back.get("vendor/rand/src/lib.rs").map(String::as_str),
             Some("cafe0123")
         );
     }

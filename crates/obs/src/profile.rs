@@ -13,7 +13,7 @@ pub enum Subsystem {
     Orchestrator,
     /// Side-task manager polls (Algorithm 2).
     Manager,
-    /// RPC bus deliveries.
+    /// RPC message deliveries.
     Rpc,
     /// Admission-plane arrivals.
     Service,

@@ -13,7 +13,6 @@
 use crate::config::StageId;
 use freeride_gpu::MemBytes;
 use freeride_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Idle intervals shorter than this are communication gaps, not bubbles:
 /// they are recorded for index alignment but never reported to the
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 pub const BUBBLE_REPORT_THRESHOLD: SimDuration = SimDuration::from_millis(100);
 
 /// The paper's bubble taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BubbleKind {
     /// Epoch-boundary bubble (cascading start/end dependencies).
     TypeA,
@@ -48,7 +47,7 @@ impl core::fmt::Display for BubbleKind {
 /// The *duration is a prediction* from profiling — bubbles are stable
 /// across epochs (§8) — and the manager schedules side tasks against
 /// `start + duration`. The engine separately reports the actual end.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BubbleReport {
     /// Stage (= GPU index) where the bubble occurs.
     pub stage: StageId,
@@ -70,7 +69,7 @@ impl BubbleReport {
 }
 
 /// One measured idle interval (profiling output).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredBubble {
     /// Stage where the idle occurred.
     pub stage: StageId,
@@ -92,7 +91,7 @@ impl MeasuredBubble {
 
 /// Per-stage bubble shapes measured during profiling epochs; consulted by
 /// the engine to predict the duration of each bubble it reports.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BubbleProfile {
     /// `bubbles[s][i]` is the i-th idle interval of an epoch on stage `s`.
     stages: Vec<Vec<MeasuredBubble>>,
@@ -160,7 +159,7 @@ impl BubbleProfile {
 }
 
 /// Aggregate bubble statistics for one training run (paper Fig. 2(b)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BubbleStats {
     /// Mean epoch wall-clock time.
     pub epoch_time: SimDuration,

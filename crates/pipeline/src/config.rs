@@ -13,13 +13,12 @@
 
 use freeride_gpu::{HardwareSpec, MemBytes};
 use freeride_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a pipeline stage (0-based, one per GPU).
 pub type StageId = usize;
 
 /// A transformer model to be trained with pipeline parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelSpec {
     /// Parameter count in billions (the paper's 1.2 / 3.6 / 6).
     pub params_b: f64,
@@ -99,7 +98,7 @@ impl ModelSpec {
 }
 
 /// Full configuration of one pipeline-training job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// The model being trained.
     pub model: ModelSpec,
@@ -126,11 +125,6 @@ pub struct PipelineConfig {
     /// in stage order). Empty — the default — means every stage runs the
     /// paper's reference GPU with [`PipelineConfig::gpu_memory`] of
     /// memory, reproducing the pre-hardware behavior byte-for-byte.
-    ///
-    /// Note for a future switch to registry `serde`: [`HardwareSpec`]
-    /// carries a trait-object factory and is not serializable — this
-    /// field would need `#[serde(skip)]` (specs are runtime
-    /// configuration, not wire data).
     pub hardware: Vec<HardwareSpec>,
 }
 

@@ -14,10 +14,9 @@
 //! the schedule, and are enforced by the engine at run time.
 
 use crate::config::StageId;
-use serde::{Deserialize, Serialize};
 
 /// What a pipeline operation does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Forward propagation of one micro-batch.
     Forward,
@@ -28,7 +27,7 @@ pub enum OpKind {
 }
 
 /// One operation in a stage's per-epoch plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Op {
     /// Forward, backward, or optimizer step.
     pub kind: OpKind,
@@ -63,7 +62,7 @@ impl Op {
 }
 
 /// Which schedule to build; carried in configs and experiment output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleKind {
     /// DeepSpeed default (PipeDream-Flush).
     OneFOneB,
@@ -72,7 +71,7 @@ pub enum ScheduleKind {
 }
 
 /// Per-stage operation sequences for one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     stages: Vec<Vec<Op>>,
     micro_batches: usize,

@@ -7,7 +7,6 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// An instant in virtual time, measured in nanoseconds since the start of
 /// the simulation.
@@ -17,15 +16,11 @@ use serde::{Deserialize, Serialize};
 /// instant. Arithmetic that would underflow panics in debug builds and
 /// saturates in release builds, matching the standard library's integer
 /// semantics.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of virtual time, measured in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 const NANOS_PER_MICRO: u64 = 1_000;

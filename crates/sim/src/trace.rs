@@ -26,11 +26,10 @@
 //! built, so recording on the per-event path neither formats nor allocates.
 
 use crate::time::{SimDuration, SimTime};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One `(time, value)` observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// When the value took effect.
     pub time: SimTime,
@@ -39,7 +38,7 @@ pub struct Sample {
 }
 
 /// A single named step-function series.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Series {
     samples: Vec<Sample>,
 }
@@ -140,7 +139,7 @@ impl Series {
 }
 
 /// A collection of named series.
-#[derive(Debug, Default, Serialize)]
+#[derive(Debug, Default)]
 pub struct TraceRecorder {
     series: BTreeMap<String, Series>,
 }

@@ -7,10 +7,9 @@
 
 use freeride_gpu::MemBytes;
 use freeride_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A purchasable execution platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSpec {
     /// Human-readable name.
     pub name: &'static str,

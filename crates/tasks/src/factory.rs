@@ -13,7 +13,6 @@
 
 use crate::profiles::{WorkloadKind, WorkloadProfile};
 use crate::workload::SideTaskWorkload;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Identity of a workload as carried through tasks and reports: one of the
@@ -22,7 +21,7 @@ use std::sync::Arc;
 /// The custom name is interned behind an `Arc<str>`: tags are cloned on
 /// every placement, arrival slot, and report row, and a reference-count
 /// bump there beats re-allocating the string each time.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum WorkloadTag {
     /// One of the six built-in workloads of §6.1.4.
     Kind(WorkloadKind),

@@ -19,10 +19,9 @@
 use crate::workload::{GraphSgdTask, ImageTask, NnTrainingTask, PageRankTask, SideTaskWorkload};
 use freeride_gpu::MemBytes;
 use freeride_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The paper's six side-task workloads (§6.1.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// ResNet18 training (torchvision stand-in).
     ResNet18,
@@ -147,7 +146,7 @@ pub const DEFAULT_BATCH: usize = 64;
 /// What FreeRide's automated profiler reports about a side task
 /// (paper §4.3): memory footprint, per-step durations per platform, and
 /// the interference characteristics used by the GPU sharing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadProfile {
     /// Batch size the profile was taken at (model training only).
     pub batch_size: usize,

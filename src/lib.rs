@@ -5,7 +5,8 @@
 //! generic GPU *side tasks* inside the bubbles of pipeline-parallel LLM
 //! training with ~1% overhead, plus every substrate the paper depends on
 //! (simulated multi-GPU server, DeepSpeed-style pipeline engine, CUDA-MPS
-//! sharing semantics, gRPC-style RPC, and the six evaluation workloads).
+//! sharing semantics, gRPC messages as seeded latencies, and the six
+//! evaluation workloads).
 //!
 //! This facade crate re-exports the workspace members:
 //!
@@ -13,7 +14,6 @@
 //! |---|---|---|
 //! | [`sim`] | `freeride-sim` | deterministic discrete-event engine |
 //! | [`gpu`] | `freeride-gpu` | simulated GPUs, MPS, containers |
-//! | [`rpc`] | `freeride-rpc` | latency-modelled RPC bus |
 //! | [`pipeline`] | `freeride-pipeline` | pipeline training + bubbles |
 //! | [`tasks`] | `freeride-tasks` | side-task workloads + profiles |
 //! | [`obs`] | `freeride-obs` | sim-time tracing, latency histograms, profiling |
@@ -48,7 +48,6 @@ pub use freeride_core as core;
 pub use freeride_gpu as gpu;
 pub use freeride_obs as obs;
 pub use freeride_pipeline as pipeline;
-pub use freeride_rpc as rpc;
 pub use freeride_sim as sim;
 pub use freeride_tasks as tasks;
 

@@ -11,6 +11,9 @@
 //! Each run's `events_processed` is pinned on its own, as a plain number
 //! beside the digest: a change to how many events the simulator needs
 //! then shows as that number alone, with every output digest unchanged.
+//!
+//! One two-job cluster is pinned the same way: its jobs carry different
+//! RPC physics and overlapping RPC spikes.
 
 mod common;
 
@@ -131,4 +134,53 @@ fn one_job_cluster_with_cost_report_is_pinned() {
     digest(&report.jobs[0], &mut h);
     assert_eq!(hex(h.finish()), hex(0x5bf9e96b8525a52f));
     assert_eq!(report.jobs[0].events_processed, 625, "events");
+}
+
+/// A two-job cluster whose jobs run different RPC physics, PageRank on
+/// every worker. Job 1 has its own latency and jitter, and its spiked
+/// worker falls back to them when the spike ends. One job-0 worker sees
+/// three overlapping spikes of different latencies; each window that
+/// closes hands the link to the latest-opened one still open.
+#[test]
+fn two_jobs_with_their_own_rpc_physics_are_pinned() {
+    let (at, ms) = (SimTime::from_millis, SimDuration::from_millis);
+    let job0 = ClusterJob::new(pipeline()).faults(
+        FaultPlan::new()
+            .rpc_spike(at(2_000), 1, ms(30), ms(3_000))
+            .rpc_spike(at(2_500), 1, ms(60), ms(1_000))
+            .rpc_spike(at(4_500), 1, ms(10), ms(1_500)),
+    );
+    let job1 = ClusterJob::new(pipeline())
+        .tune(|c| {
+            c.rpc_latency = SimDuration::from_micros(300);
+            c.rpc_jitter = 0.05;
+        })
+        .faults(FaultPlan::new().rpc_spike(at(3_000), 2, ms(40), ms(2_000)));
+    let mut cluster = Cluster::builder()
+        .job(job0)
+        .job(job1)
+        .cost_report(false)
+        .build();
+    for job in 0..2 {
+        for sub in Submission::per_worker(WorkloadKind::PageRank, 4) {
+            cluster
+                .submit_with(sub, SubmitOptions::new().affinity(job))
+                .expect("PageRank fits");
+        }
+    }
+    let report = cluster.run();
+    for job in &report.jobs {
+        let mut workers: Vec<usize> = job.tasks.iter().map(|t| t.worker).collect();
+        workers.sort_unstable();
+        assert_eq!(workers, [0, 1, 2, 3], "PageRank on every worker");
+    }
+
+    let mut h = Fnv::new();
+    rejections(&report.rejected, &mut h);
+    for job in &report.jobs {
+        digest(job, &mut h);
+    }
+    assert_eq!(hex(h.finish()), hex(0x610710930b29c470));
+    let events: Vec<u64> = report.jobs.iter().map(|j| j.events_processed).collect();
+    assert_eq!(events, [723, 719], "events");
 }

@@ -585,8 +585,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Health determinism: with the supervisor armed — heartbeats on the
-    /// bus, migration on Suspect, hedging — an arbitrary fault trace
+    /// Health determinism: with the supervisor armed — heartbeat RPCs,
+    /// migration on Suspect, hedging — an arbitrary fault trace
     /// still replays digest-identically, where the digest now includes
     /// the detector's full transition log, the TTD/TTR samples, and the
     /// per-recovery attribution. Supervision reacts to the event stream,

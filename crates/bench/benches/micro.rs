@@ -200,9 +200,8 @@ fn bench_workload_steps(c: &mut Criterion) {
 
 fn bench_end_to_end(c: &mut Criterion) {
     let cfg = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(2);
-    // Full-epoch events/sec, from the counter the orchestrator now
-    // surfaces (`Simulation::events_processed` → `events_processed` on the
-    // run): the single-run hot-path metric tracked in BENCH.json.
+    // Full-epoch events/sec, from the counter the orchestrator surfaces
+    // (`Simulation::events_processed` → `events_processed` on the run).
     {
         // freeride: allow(no-wall-clock) -- bench harness measures real wall time; never feeds back into sim state
         let start = std::time::Instant::now();

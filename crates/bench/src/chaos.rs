@@ -25,15 +25,17 @@
 //! | `checkpoint` | checkpoint/restart | worker 1's task survives both crashes |
 //! | `breaker` | [`CircuitBreaker`] + retry | the pinned arrival waits out the flapping |
 //! | `all` | all three | the mechanisms compose |
-//! | `supervised` | all three + [`SupervisorConfig`] | proactive migration + hedging out-harvest `all` |
+//! | `supervised` | all three + [`SupervisorConfig`] | proactive migration out-harvests `all` |
 //!
 //! (A breaker only acts on *re*-submissions, so its cell rides on retry;
 //! its isolated contribution is the delta against the `retry` cell. The
 //! `supervised` cell arms the health subsystem on top of `all`: the
 //! failure detector suspects the flapping worker ~300ms after its first
 //! crash and migrates its checkpointed task to a healthy worker — dodging
-//! the second crash entirely instead of restoring into it — and the
-//! straggler window gets its laggards speculatively hedged.)
+//! the second crash entirely instead of restoring into it. It also hedges
+//! the straggler window's laggards, but no hedge wins its race: the
+//! `health` grid's `hedged` cell loses both and harvests exactly the
+//! steps of its `migrate` cell.)
 //!
 //! Everything here is deterministic: cells fan out across threads via
 //! [`SweepRunner`] and come back in submission order, so the chaos bin's
@@ -208,8 +210,6 @@ pub struct CellOutcome {
     pub recoveries: usize,
     /// Longest first-failure-to-recovery latency.
     pub worst_recovery: SimDuration,
-    /// Discrete events the simulation processed.
-    pub events: u64,
 }
 
 /// Formats one outcome as the chaos bin prints it.
@@ -330,6 +330,5 @@ fn summarize(name: &'static str, report: &ClusterReport) -> CellOutcome {
             .map(|r| r.latency)
             .max()
             .unwrap_or(SimDuration::ZERO),
-        events: report.events_processed,
     }
 }

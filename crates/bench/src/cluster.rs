@@ -14,9 +14,6 @@
 //! harvested steps, the cluster-wide throughput loss, and the makespan.
 //! A per-policy rejection summary closes the sweep.
 //!
-//! Cluster events/sec (wall-clock dependent, hence not printed here) is
-//! tracked by the `perf` bin as `cluster_events_per_sec` in `BENCH.json`.
-//!
 //! [`PlacementPolicy`]: freeride_core::PlacementPolicy
 
 use crate::{header, pct, BenchArgs, Text, PLACEMENT_POLICIES};

@@ -110,8 +110,6 @@ pub struct CellOutcome {
     pub hedge_wins: u64,
     /// Hedge races the original won.
     pub hedge_losses: u64,
-    /// Discrete events the simulation processed.
-    pub events: u64,
 }
 
 /// Formats one outcome as the health bin prints it: a summary row
@@ -220,6 +218,5 @@ fn summarize(name: &'static str, report: &ClusterReport) -> CellOutcome {
         migrations: h.migrations,
         hedge_wins: h.hedge_wins,
         hedge_losses: h.hedge_losses,
-        events: report.events_processed,
     }
 }

@@ -12,9 +12,7 @@
 //!
 //! Each cell reports where tasks landed, per-worker harvested steps (the
 //! direct fingerprint of device speed), rejections, the throughput loss,
-//! and the fleet makespan. Heterogeneous events/sec (wall-clock
-//! dependent, hence not printed here) is tracked by the `perf` bin as
-//! `hetero_events_per_sec` in `BENCH.json`.
+//! and the fleet makespan.
 
 use crate::{header, pct, BenchArgs, Text, PLACEMENT_POLICIES};
 use freeride_core::{

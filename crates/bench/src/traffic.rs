@@ -141,8 +141,6 @@ pub struct TrafficOutcome {
     pub kinds: Vec<(&'static str, u64)>,
     /// Fraction of bubble time spent running side-task steps.
     pub harvest: f64,
-    /// Discrete events the simulation processed.
-    pub events: u64,
 }
 
 /// Formats one outcome as the traffic bin prints it (three lines).
@@ -290,7 +288,6 @@ fn summarize(cell: TrafficCell, arrivals: usize, report: ClusterReport) -> Traff
         layers,
         kinds,
         harvest: report.jobs[0].breakdown.fractions().running,
-        events: report.events_processed,
     }
 }
 

@@ -379,9 +379,9 @@ pub struct DeploymentReport {
     pub trace: TraceRecorder,
     /// Bubble reports delivered to the manager.
     pub bubbles_reported: u64,
-    /// Discrete events the simulation delivered for this run; divide by
-    /// wall-clock to get the events/sec throughput tracked in
-    /// `BENCH.json`.
+    /// Discrete events the simulation delivered for this run. It counts
+    /// simulator work, not a result: it moves whenever the simulator needs
+    /// a different number of events for the same run.
     pub events_processed: u64,
     /// Recovery log under the chaos layer: for each task that hit a
     /// retryable fault or lost its worker, the latency from first failure

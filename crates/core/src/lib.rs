@@ -9,7 +9,7 @@
 //!   check, and signal-style pausing with unstoppable in-flight kernels);
 //! * the **side-task manager** of §4.4, implementing Algorithms 1 and 2
 //!   verbatim ([`SideTaskManager`]);
-//! * per-GPU **side-task workers** with MPS memory caps, container
+//! * per-GPU **side-task workers** with MPS memory caps, process-kill
 //!   isolation, and the **framework-enforced grace-period kill** of §4.5
 //!   ([`Worker`]);
 //! * the **`Cluster` API** ([`Cluster`]), the one way into the

@@ -2,7 +2,7 @@
 
 use crate::config::InterfaceKind;
 use crate::state::{SideTaskState, StateMachine, Transition};
-use freeride_gpu::{ContainerId, MemBytes, ProcessId};
+use freeride_gpu::{MemBytes, ProcessId};
 use freeride_sim::SimTime;
 use freeride_tasks::{SideTaskWorkload, WorkloadProfile, WorkloadTag};
 
@@ -101,8 +101,6 @@ pub struct SideTask {
     pub submitted_at: SimTime,
     /// GPU process, once created.
     pub pid: Option<ProcessId>,
-    /// Isolation container, once created.
-    pub container: Option<ContainerId>,
     /// Timestamp the interface last recorded a successful pause; checked
     /// by the framework-enforced mechanism.
     pub last_paused: Option<SimTime>,
@@ -119,8 +117,6 @@ pub struct SideTask {
     pub misbehavior: Misbehavior,
     /// Why the task stopped, if it did.
     pub stop_reason: StopReason,
-    /// Extra memory allocated by a leak (so kills free the right amount).
-    pub leaked: MemBytes,
     /// Accumulated sub-kernel time towards the next full step (imperative
     /// interface only).
     pub sub_progress: freeride_sim::SimDuration,
@@ -147,13 +143,11 @@ impl SideTask {
             sm: StateMachine::new(now),
             submitted_at: now,
             pid: None,
-            container: None,
             last_paused: None,
             steps: 0,
             last_value: None,
             misbehavior: Misbehavior::None,
             stop_reason: StopReason::NotStopped,
-            leaked: MemBytes::ZERO,
             sub_progress: freeride_sim::SimDuration::ZERO,
             unsettled: 0,
         }

@@ -1,9 +1,9 @@
 //! The side-task worker: one per GPU (Fig. 5).
 //!
-//! A worker owns its side-task processes: it creates them inside
-//! containers with MPS memory caps, executes the manager's state-transition
-//! RPCs, drives step execution while a task is `RUNNING` (the interface
-//! implementation of §4.2), and enforces the GPU resource limits of §4.5 —
+//! A worker owns its side-task processes: it creates each with an MPS
+//! memory cap, executes the manager's state-transition RPCs, drives step
+//! execution while a task is `RUNNING` (the interface implementation of
+//! §4.2), and enforces the GPU resource limits of §4.5 —
 //! the *program-directed* remaining-time check for the iterative interface
 //! and the *framework-enforced* grace-period `SIGKILL` for everything else.
 //!
@@ -15,7 +15,7 @@
 use crate::config::{ColocationMode, FreeRideConfig, InterfaceKind};
 use crate::state::{SideTaskState, Transition};
 use crate::task::{Misbehavior, SideTask, StopReason, TaskId};
-use freeride_gpu::{ContainerRegistry, GpuDevice, KernelSpec, Priority, ProcessState};
+use freeride_gpu::{GpuDevice, KernelSpec, Priority, ProcessState};
 use freeride_obs::{TraceEvent, TraceEventKind, TraceHandle};
 use freeride_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -62,8 +62,6 @@ pub struct WorkerAccounting {
     pub running: SimDuration,
     /// Σ tails where the next step did not fit.
     pub insufficient: SimDuration,
-    /// Bubbles this worker served (Start delivered).
-    pub bubbles_served: u64,
 }
 
 struct ServingState {
@@ -99,7 +97,6 @@ pub struct Worker {
     stage: usize,
     cfg: FreeRideConfig,
     tasks: BTreeMap<TaskId, SideTask>,
-    containers: ContainerRegistry,
     serving: Option<ServingState>,
     /// Kernels in flight per task (the FreeRide path has at most one task
     /// running per worker; the co-location baselines run every admitted
@@ -121,7 +118,6 @@ impl Worker {
             stage,
             cfg,
             tasks: BTreeMap::new(),
-            containers: ContainerRegistry::new(),
             serving: None,
             active: BTreeMap::new(),
             pending_pause: None,
@@ -189,8 +185,7 @@ impl Worker {
         self.tasks.values().any(|t| !t.is_stopped())
     }
 
-    /// `CreateSideTask()`: create the process in a container and load host
-    /// context.
+    /// `CreateSideTask()`: create the capped process and load host context.
     pub fn handle_create(
         &mut self,
         now: SimTime,
@@ -203,11 +198,7 @@ impl Worker {
             Priority::Low,
             Some(cap),
         );
-        let container = self.containers.create();
-        self.containers.add_process(container, pid);
-        device.set_container(pid, container);
         task.pid = Some(pid);
-        task.container = Some(container);
         task.workload.create();
         task.transition(now, Transition::CreateSideTask);
         let id = task.id;
@@ -284,7 +275,6 @@ impl Worker {
             bubble_end,
             insufficient_from: None,
         });
-        self.accounting.bubbles_served += 1;
         self.try_launch_step(now, id, device);
         vec![WorkerEffect::Ack {
             task: id,
@@ -423,10 +413,7 @@ impl Worker {
         // Failure injection.
         let fault = match task.misbehavior {
             Misbehavior::LeakMemory { per_step } => match task.pid {
-                Some(pid) if device.alloc(pid, per_step).is_ok() => {
-                    task.leaked += per_step;
-                    None
-                }
+                Some(pid) if device.alloc(pid, per_step).is_ok() => None,
                 // Exceeded the MPS cap: the process gets an OOM error and
                 // is terminated; training is unaffected (Fig. 8(b)).
                 Some(_) => Some(StopReason::KilledOom),
@@ -710,7 +697,7 @@ impl Worker {
     }
 
     /// Terminates a task: kills its process (freeing memory, aborting its
-    /// kernels), tears down its container, and acknowledges `STOPPED`.
+    /// kernels) and acknowledges `STOPPED`.
     fn kill(
         &mut self,
         now: SimTime,
@@ -729,9 +716,6 @@ impl Worker {
                 _ => ProcessState::Killed,
             };
             device.kill_process(now, pid, state);
-        }
-        if let Some(c) = task.container {
-            self.containers.stop(c);
         }
         if task.sm.can_apply(Transition::StopSideTask) {
             task.transition(now, Transition::StopSideTask);
@@ -756,8 +740,8 @@ impl Worker {
 
     /// The whole side-task daemon dies (injected worker-crash fault):
     /// every live task is killed with [`StopReason::WorkerLost`] — process
-    /// killed, container torn down, GPU memory freed — and the ids of the
-    /// tasks lost are returned (ascending). No `Ack` effects are produced:
+    /// killed, GPU memory freed — and the ids of the tasks lost are
+    /// returned (ascending). No `Ack` effects are produced:
     /// a dead daemon cannot RPC, so the orchestrator updates the manager's
     /// book-keeping directly via `SideTaskManager::on_worker_crash`.
     pub fn crash(&mut self, now: SimTime, device: &mut GpuDevice) -> Vec<TaskId> {
@@ -852,7 +836,6 @@ mod tests {
         let proc = d.process(pid).unwrap();
         assert_eq!(proc.priority, Priority::Low);
         assert!(proc.mem_limit.is_some(), "MPS cap must be set");
-        assert!(proc.container.is_some(), "must be containerised");
         // Init allocated the profiled footprint.
         assert_eq!(proc.allocated(), task.profile.gpu_mem);
     }

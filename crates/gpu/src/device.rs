@@ -14,7 +14,7 @@
 //!
 //! [`World`]: freeride_sim::World
 
-use crate::ids::{ContainerId, GpuId, KernelId, ProcessId};
+use crate::ids::{GpuId, KernelId, ProcessId};
 use crate::interference::{InterferenceModel, KernelCtx};
 use crate::kernel::{KernelCompletion, KernelSpec, Priority};
 use crate::memory::{MemBytes, MemoryPool, OomKind};
@@ -44,8 +44,6 @@ pub struct GpuProcess {
     pub priority: Priority,
     /// MPS memory cap; `None` means uncapped (the training job).
     pub mem_limit: Option<MemBytes>,
-    /// Hosting container, if the process is containerised.
-    pub container: Option<ContainerId>,
     allocated: MemBytes,
     state: ProcessState,
 }
@@ -256,21 +254,11 @@ impl GpuDevice {
                 name: name.into(),
                 priority,
                 mem_limit,
-                container: None,
                 allocated: MemBytes::ZERO,
                 state: ProcessState::Alive,
             },
         );
         pid
-    }
-
-    /// Associates a process with an isolation container.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the process is unknown.
-    pub fn set_container(&mut self, pid: ProcessId, container: ContainerId) {
-        self.procs.get_mut(&pid).expect("unknown process").container = Some(container);
     }
 
     /// Looks up a process.
@@ -345,8 +333,11 @@ impl GpuDevice {
     }
 
     /// Terminates a process: frees all its memory, drops its kernels, and
-    /// marks it dead. Other processes are unaffected — this is the isolation
-    /// property MPS + containers provide (paper §8, Fault tolerance).
+    /// marks it dead. Other processes are unaffected. This and the
+    /// per-process MPS cap are the simulator's whole isolation model. The
+    /// paper also runs each side task in a Docker container (§4.6, §8
+    /// *Fault tolerance*); what that shows, failure containment, is this
+    /// property.
     ///
     /// Returns the ids of kernels that were aborted.
     pub fn kill_process(

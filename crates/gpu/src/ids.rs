@@ -31,13 +31,3 @@ impl fmt::Display for KernelId {
         write!(f, "k{}", self.0)
     }
 }
-
-/// An isolation container (Docker stand-in) hosting side-task processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ContainerId(pub u64);
-
-impl fmt::Display for ContainerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ctr{}", self.0)
-    }
-}

@@ -4,9 +4,11 @@
 //! CUDA MPS for memory caps and priority sharing, and Docker for process
 //! isolation. This crate is the stand-in for all of that: passive,
 //! deterministic GPU devices that execute kernels under a pluggable
-//! interference model, enforce per-process MPS memory caps with OOM-kill
-//! semantics, and contain side-task processes in containers whose failure
-//! never touches the training job.
+//! interference model and enforce per-process MPS memory caps with
+//! OOM-kill semantics. The simulator models isolation as that cap plus
+//! [`GpuDevice::kill_process`], which frees one process's memory and
+//! aborts its kernels without touching any other process, so a failing
+//! side task never reaches the training job.
 //!
 //! The crate is *driver-agnostic*: devices never schedule simulation events
 //! themselves. A caller (the pipeline engine or the FreeRide middleware)
@@ -47,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod container;
 mod device;
 mod hardware;
 mod ids;
@@ -55,10 +56,9 @@ mod interference;
 mod kernel;
 mod memory;
 
-pub use container::{ContainerRegistry, ContainerState};
 pub use device::{GpuDevice, GpuProcess, LaunchError, OomError, ProcessState};
 pub use hardware::{DefaultGpuModel, GpuModelFactory, HardwareSpec, SharingKind};
-pub use ids::{ContainerId, GpuId, KernelId, ProcessId};
+pub use ids::{GpuId, KernelId, ProcessId};
 pub use interference::{InterferenceModel, KernelCtx, MpsPrioritized, TimeSliced, MIN_SPEED};
 pub use kernel::{KernelCompletion, KernelSpec, Priority};
 pub use memory::{MemBytes, MemoryPool, OomKind};

@@ -27,7 +27,7 @@
 //! * **Per-subsystem profiling** — [`ProfileCollector`] /
 //!   [`ProfileReport`] attribute `events_processed` and sim-event
 //!   wall-time to orchestrator / manager / rpc / service / fault /
-//!   health buckets, feeding the `perf` bin's attribution table.
+//!   health buckets, rendered by [`ProfileReport::table`].
 //!
 //! ## Quickstart
 //!

@@ -1,6 +1,6 @@
 //! Per-subsystem attribution of simulation work: event counts (exact,
-//! deterministic) and dispatch wall-time (measured, for the `perf`
-//! bin's attribution table only — never in determinism-tested output).
+//! deterministic) and dispatch wall-time (measured, for the attribution
+//! table only — never in determinism-tested output).
 
 use std::time::Duration;
 
@@ -126,8 +126,8 @@ impl ProfileReport {
         self.rows.iter().map(|r| r.wall).sum()
     }
 
-    /// Renders the aligned attribution table the `perf` bin prints.
-    /// Buckets that saw no events are omitted.
+    /// Renders the aligned attribution table `examples/traced_cluster.rs`
+    /// prints. Buckets that saw no events are omitted.
     pub fn table(&self) -> String {
         let total_events = self.total_events().max(1);
         let total_wall = self.total_wall().as_secs_f64().max(f64::MIN_POSITIVE);

@@ -53,7 +53,7 @@ fn main() {
     assert_eq!(t.stop_reason, StopReason::KilledOom);
 
     println!();
-    println!("--- crash containment (Docker-style isolation) ---");
+    println!("--- crash containment (process kill) ---");
     let crashy = vec![Submission::new(WorkloadKind::GraphSgd)
         .with_misbehavior(Misbehavior::CrashAfter { steps: 10 })];
     let run = run_colocation(&pipeline, &FreeRideConfig::iterative(), &crashy);

@@ -13,7 +13,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`sim`] | `freeride-sim` | deterministic discrete-event engine |
-//! | [`gpu`] | `freeride-gpu` | simulated GPUs, MPS, containers |
+//! | [`gpu`] | `freeride-gpu` | simulated GPUs, MPS, memory caps |
 //! | [`pipeline`] | `freeride-pipeline` | pipeline training + bubbles |
 //! | [`tasks`] | `freeride-tasks` | side-task workloads + profiles |
 //! | [`obs`] | `freeride-obs` | sim-time tracing, latency histograms, profiling |

@@ -301,8 +301,8 @@ fn faulted_run(faults: FaultPlan) -> DeploymentReport {
     cluster.run().jobs.remove(0)
 }
 
-/// Two overlapping windows of one fault kind on one worker must act as
-/// their union: the worker stays degraded until the last one closes.
+/// Overlapping windows of one fault kind on one worker must act as
+/// `union`: the worker stays degraded until the last one closes.
 fn assert_acts_as_union(overlapping: FaultPlan, union: FaultPlan) -> DeploymentReport {
     let (got, want) = (faulted_run(overlapping), faulted_run(union));
     assert_eq!(format!("{:?}", got.tasks), format!("{:?}", want.tasks));
@@ -337,6 +337,20 @@ fn overlapping_stragglers_keep_the_worker_slow_until_the_last_ends() {
             .straggler(at(7_000), 2, 0.25, secs(1)),
         FaultPlan::new().straggler(at(6_000), 2, 0.25, secs(4)),
     );
+}
+
+/// When a straggler window closes while two others are still open, the
+/// worker falls back to the latest-opened one (×0.5 here), not the
+/// earliest (×0.25): the innermost window changes nothing.
+#[test]
+fn a_closing_straggler_falls_back_to_the_latest_opened_window() {
+    let (at, ms) = (SimTime::from_millis, SimDuration::from_millis);
+    let outer = || {
+        FaultPlan::new()
+            .straggler(at(6_000), 2, 0.25, ms(4_000))
+            .straggler(at(7_000), 2, 0.5, ms(2_000))
+    };
+    assert_acts_as_union(outer().straggler(at(7_500), 2, 0.5, ms(500)), outer());
 }
 
 #[test]

@@ -73,3 +73,22 @@ fn every_experiment_renders_its_golden_at_one_and_four_threads() {
         "a golden without an experiment"
     );
 }
+
+/// Every bin prints an experiment's text, so every bin's output is
+/// pinned above.
+#[test]
+fn every_bin_is_an_experiment() {
+    let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src/bin");
+    let mut bins: Vec<String> = std::fs::read_dir(&bin_dir)
+        .expect("list crates/bench/src/bin")
+        .map(|entry| {
+            let path = entry.expect("read a bin entry").path();
+            let stem = path.file_stem().expect("a bin file has a stem");
+            stem.to_string_lossy().into_owned()
+        })
+        .collect();
+    bins.sort();
+    let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    names.sort_unstable();
+    assert_eq!(bins, names, "a bin without an experiment");
+}

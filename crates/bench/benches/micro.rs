@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the reproduction's hot paths: the event
 //! queue, the GPU device fluid model, schedule construction, the manager's
-//! Algorithms 1 & 2, the seeded RNG's draw path, each real side-task step
-//! of the paper's mixed workload (PageRank both computing and replaying its
-//! limit cycle, Image also in a batch of a thousand), and a full simulated
-//! training epoch with and without FreeRide.
+//! Algorithms 1 & 2, the seeded RNG's draw path, a step of each real side
+//! task the paper's tables run (PageRank, ResNet18, ResNet50, VGG19, Image;
+//! PageRank also computing and replaying its limit cycle, Image also in a
+//! batch of a thousand), and a full simulated training epoch with and
+//! without FreeRide.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use freeride_core::{run_colocation, FreeRideConfig, SideTaskManager, Submission, TaskId};
@@ -150,6 +151,7 @@ fn bench_workload_steps(c: &mut Criterion) {
     for kind in [
         WorkloadKind::PageRank,
         WorkloadKind::ResNet18,
+        WorkloadKind::ResNet50,
         WorkloadKind::Vgg19,
         WorkloadKind::ImageProc,
     ] {
@@ -200,24 +202,6 @@ fn bench_workload_steps(c: &mut Criterion) {
 
 fn bench_end_to_end(c: &mut Criterion) {
     let cfg = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(2);
-    // Full-epoch events/sec, from the counter the orchestrator surfaces
-    // (`Simulation::events_processed` → `events_processed` on the run).
-    {
-        // freeride: allow(no-wall-clock) -- bench harness measures real wall time; never feeds back into sim state
-        let start = std::time::Instant::now();
-        let run = run_colocation(
-            &cfg,
-            &FreeRideConfig::iterative(),
-            &Submission::per_worker(WorkloadKind::PageRank, 4),
-        );
-        let wall = start.elapsed().as_secs_f64();
-        println!(
-            "e2e: 2-epoch freeride run processed {} events in {:.3}s ({:.0} events/sec)",
-            run.events_processed,
-            wall,
-            run.events_processed as f64 / wall
-        );
-    }
     let mut group = c.benchmark_group("e2e");
     group.sample_size(10);
     group.bench_function("train 2 epochs (no side tasks)", |b| {

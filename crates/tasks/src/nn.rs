@@ -8,6 +8,9 @@
 //! module implements a dense network trained by SGD on a synthetic
 //! regression problem, with forward/backward passes written out by hand.
 //!
+//! Every product of a step, forward and backward, is one
+//! [`Matrix::matmul`], whose docs give the order each element is summed in.
+//!
 //! [profiles]: crate::profiles
 
 use freeride_sim::DetRng;
@@ -78,17 +81,20 @@ impl Matrix {
 
     /// Matrix product `self × rhs`.
     ///
+    /// Element (i, j) starts at +0.0 and adds `self[i][k] · rhs[k][j]` in
+    /// ascending k, skipping every k where `self[i][k] == 0.0` (−0.0 too):
+    /// the plain triple loop's order, whatever column tile the element
+    /// falls in.
+    ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut nonzero = vec![0; self.cols];
         for i in 0..self.rows {
-            let out_row = out.row_mut(i);
-            for (k, &a) in self.row(i).iter().enumerate() {
-                add_scaled(out_row, a, rhs.row(k));
-            }
+            product_row(self.row(i), &mut nonzero, rhs, out.row_mut(i));
         }
         out
     }
@@ -113,17 +119,50 @@ impl Matrix {
     }
 }
 
-/// `out += a · row`, skipping `a == 0.0`: the one inner kernel of every
-/// product here. Each element of a product sums its terms in `k` order
-/// through this, with or without a transposed operand, so the skip and the
-/// summation order are the same on every path.
-#[inline]
-fn add_scaled(out: &mut [f64], a: f64, row: &[f64]) {
-    if a == 0.0 {
-        return;
+/// One row of a product, `out = lhs_row · rhs`. Lists the k of the nonzero
+/// entries of `lhs_row` in `nonzero` (a buffer at least `lhs_row.len()`
+/// long) without a branch, since about half of a layer's inputs are exact
+/// ReLU zeros, then sums 16 columns at a time over that list, then the
+/// remaining columns one by one.
+fn product_row(lhs_row: &[f64], nonzero: &mut [usize], rhs: &Matrix, out: &mut [f64]) {
+    let mut count = 0;
+    for (k, &a) in lhs_row.iter().enumerate() {
+        nonzero[count] = k;
+        count += usize::from(a != 0.0);
     }
-    for (o, &b) in out.iter_mut().zip(row) {
-        *o += a * b;
+    let nonzero = &nonzero[..count];
+    let mut col = 0;
+    while col + 16 <= out.len() {
+        product_tile::<16>(lhs_row, nonzero, rhs, col, out);
+        col += 16;
+    }
+    while col < out.len() {
+        product_tile::<1>(lhs_row, nonzero, rhs, col, out);
+        col += 1;
+    }
+}
+
+/// Columns `col..col + W` of one product row, summed over the listed k.
+#[inline]
+fn product_tile<const W: usize>(
+    lhs_row: &[f64],
+    nonzero: &[usize],
+    rhs: &Matrix,
+    col: usize,
+    out: &mut [f64],
+) {
+    let mut acc = [0.0; W];
+    for &k in nonzero {
+        let a = lhs_row[k];
+        for (s, &b) in acc.iter_mut().zip(&rhs.data[k * rhs.cols + col..][..W]) {
+            *s += a * b;
+        }
+    }
+    // Not `copy_from_slice`: with debug assertions on, as in the dev
+    // profile, its precondition check keeps `acc` in memory and the loop
+    // above scalar.
+    for (o, s) in out[col..][..W].iter_mut().zip(acc) {
+        *o = s;
     }
 }
 
@@ -179,15 +218,9 @@ impl Dense {
                 }
             }
         }
-        // grad_w = inputᵀ · grad_out, one batch row at a time: element
-        // (i, j) still sums its terms in batch order.
-        let mut grad_w = Matrix::zeros(self.weights.rows(), self.weights.cols());
-        for k in 0..self.input.rows() {
-            let g = grad_out.row(k);
-            for (i, &a) in self.input.row(k).iter().enumerate() {
-                add_scaled(grad_w.row_mut(i), a, g);
-            }
-        }
+        // grad_w = inputᵀ · grad_out: element (i, j) sums its terms in
+        // batch order.
+        let grad_w = self.input.transpose().matmul(&grad_out);
         let grad_in = if propagate {
             grad_out.matmul(&self.weights.transpose())
         } else {

@@ -1,8 +1,9 @@
 //! Property-based tests over the core data structures and invariants:
 //! schedules, the state machine, placement, memory accounting, the event
 //! queue, whole-pipeline termination for arbitrary shapes, replay
-//! determinism under arbitrary fault traces, and PageRank's cycle replay
-//! against a plain power iteration.
+//! determinism under arbitrary fault traces, PageRank's cycle replay
+//! against a plain power iteration, and the NN matrix product against its
+//! reference summation order.
 
 use freeride::core::{
     next_state, run_colocation, AdmissionControl, BestFitMemory, Cluster, ClusterJob,
@@ -16,7 +17,7 @@ use freeride::obs::SimTracer;
 use freeride::pipeline::{run_training, ModelSpec, PipelineConfig, Schedule, ScheduleKind};
 use freeride::sim::{DetRng, EventQueue, SimDuration, SimTime};
 use freeride::tasks::{ArrivalProcess, TrafficClass, TrafficGen};
-use freeride::tasks::{CsrGraph, PageRank, WorkloadKind};
+use freeride::tasks::{CsrGraph, Matrix, PageRank, WorkloadKind};
 use proptest::prelude::*;
 
 proptest! {
@@ -349,6 +350,62 @@ proptest! {
         }
         prop_assert_eq!(batched.steps_done(), single.steps_done());
         prop_assert_eq!(batched.run_step().to_bits(), single.run_step().to_bits());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Matrix::matmul` returns, bit for bit, the plain triple loop: each
+    /// element starts at +0.0 and adds its products in ascending k, skipping
+    /// the left-hand side's exact zeros (−0.0 too), for any sparsity and
+    /// any shape up to the widest NN layer's (k = 64, n = 96), so across
+    /// every column tile and tail. A right-hand row that faces only zeros
+    /// holds ±inf and NaN, so multiplying by a zero instead of skipping it
+    /// shows.
+    #[test]
+    fn matmul_matches_the_reference_order(
+        m in 0usize..40,
+        k in 0usize..70,
+        n in 0usize..100,
+        zero_pct in 0u64..=100,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut a = Matrix::random(m, k, &mut rng);
+        for i in 0..m {
+            for p in 0..k {
+                if rng.gen_range_u64(0, 100) < zero_pct {
+                    a.set(i, p, if rng.gen_bool(0.5) { -0.0 } else { 0.0 });
+                }
+            }
+        }
+        let mut b = Matrix::random(k, n, &mut rng);
+        for p in 0..k {
+            if (0..m).all(|i| a.get(i, p) == 0.0) {
+                for j in 0..n {
+                    b.set(p, j, [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][j % 3]);
+                }
+            }
+        }
+        let product = a.matmul(&b);
+        prop_assert_eq!((product.rows(), product.cols()), (m, n));
+        for i in 0..m {
+            for j in 0..n {
+                let mut sum = 0.0;
+                for p in 0..k {
+                    let x = a.get(i, p);
+                    if x != 0.0 {
+                        sum += x * b.get(p, j);
+                    }
+                }
+                prop_assert_eq!(
+                    product.get(i, j).to_bits(),
+                    sum.to_bits(),
+                    "element ({}, {}) of {}x{} . {}x{}", i, j, m, k, k, n
+                );
+            }
+        }
     }
 }
 

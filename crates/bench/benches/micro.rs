@@ -110,9 +110,9 @@ fn bench_manager(c: &mut Criterion) {
             }
         })
     });
-    // The management tick with a reused caller-owned buffer: 8 workers,
-    // 16 queued tasks each, polled across many ticks — the orchestrator's
-    // steady-state shape, now allocation-free.
+    // Algorithm 2 with a reused caller-owned buffer: 8 workers, 16 queued
+    // tasks each awaiting its Create ack, polled 100 times with no input
+    // in between, so no poll issues a command.
     c.bench_function("core/manager poll_into 8 workers deep queues", |b| {
         let mut m = SideTaskManager::new(vec![MemBytes::from_gib(24); 8]);
         for i in 0..128u64 {

@@ -63,8 +63,6 @@ pub struct FreeRideConfig {
     /// `PauseSideTask` (or `InitSideTask`), a task that has not updated its
     /// `last_paused` timestamp within this period is `SIGKILL`ed (§4.5).
     pub grace_period: SimDuration,
-    /// Period of the side-task manager's Algorithm-2 loop.
-    pub manager_poll_interval: SimDuration,
     /// Program-directed limit: a step is started only if the remaining
     /// bubble time exceeds the profiled step duration plus this margin.
     pub step_safety_margin: SimDuration,
@@ -94,7 +92,6 @@ impl FreeRideConfig {
             rpc_latency: SimDuration::from_micros(120),
             rpc_jitter: 0.2,
             grace_period: SimDuration::from_millis(500),
-            manager_poll_interval: SimDuration::from_millis(20),
             step_safety_margin: SimDuration::from_millis(5),
             step_gap: SimDuration::from_micros(300),
             instrumentation_overhead: SimDuration::from_millis(6),
@@ -147,16 +144,13 @@ impl FreeRideConfig {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive grace period or poll interval — both drive
-    /// periodic mechanisms that would spin at zero.
+    /// Panics on a non-positive grace period (the grace check would spin
+    /// at zero), a non-positive init bandwidth or an RPC jitter outside
+    /// `[0, 1)`.
     pub fn validate(&self) {
         assert!(
             !self.grace_period.is_zero(),
             "grace period must be positive"
-        );
-        assert!(
-            !self.manager_poll_interval.is_zero(),
-            "poll interval must be positive"
         );
         assert!(
             self.init_bandwidth_gib_s > 0.0,

@@ -494,9 +494,8 @@ impl SideTaskManager {
     /// **Algorithm 2** — one iteration of the management loop. Returns the
     /// state-transition RPCs to issue.
     ///
-    /// Allocates a fresh vector per call; the orchestrator's management
-    /// tick uses [`SideTaskManager::poll_into`] with a reused buffer
-    /// instead.
+    /// Allocates a fresh vector per call; the orchestrator uses
+    /// [`SideTaskManager::poll_into`] with a reused buffer instead.
     pub fn poll(&mut self, now: SimTime) -> Vec<ManagerCmd> {
         let mut cmds = Vec::new();
         self.poll_into(now, &mut cmds);
@@ -505,7 +504,13 @@ impl SideTaskManager {
 
     /// **Algorithm 2**, buffer form: appends the state-transition RPCs to
     /// issue onto `cmds` (which the caller typically clears and reuses
-    /// across ticks, keeping the management loop allocation-free).
+    /// across polls, keeping the management loop allocation-free).
+    ///
+    /// `now` is only compared with bubbles' predicted ends, so a second
+    /// poll with no input in between issues nothing unless a predicted end
+    /// passed. The orchestrator therefore polls when an input arrives (a
+    /// bubble report or an ack) and at each reported bubble's predicted
+    /// end, and never on a timer.
     pub fn poll_into(&mut self, now: SimTime, cmds: &mut Vec<ManagerCmd>) {
         for wi in 0..self.workers.len() {
             let w = &mut self.workers[wi];

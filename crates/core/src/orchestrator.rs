@@ -122,8 +122,10 @@ enum Ev {
     LaunchOp(usize),
     EpochBoundary,
     DeviceTick(usize),
-    ManagerPollPeriodic,
-    ManagerPollOnce,
+    /// A reported bubble's predicted end: Algorithm 2 pauses the task it
+    /// served. The manager's other inputs (bubble reports, acks) poll it
+    /// where they are delivered.
+    ManagerPoll,
     Deliver(Msg),
     /// An online submission's arrival time was reached (index into
     /// `JobRuntime::arrivals`).
@@ -229,9 +231,8 @@ struct JobRuntime {
     /// Events delivered to this job (sums to the simulation total across
     /// the cluster).
     events_processed: u64,
-    /// Reusable buffer for manager poll commands; the management tick
-    /// fires on every bubble, ack, and poll interval, so it must not
-    /// allocate.
+    /// Reusable buffer for manager poll commands; Algorithm 2 runs on
+    /// every bubble report, ack and bubble end, so it must not allocate.
     cmd_buf: Vec<ManagerCmd>,
 
     // --- chaos layer (all empty/`None` on the no-fault path) ---
@@ -502,15 +503,14 @@ impl JobRuntime {
         true
     }
 
+    /// Runs Algorithm 2 and sends its commands. Only FreeRide jobs get
+    /// here: baselines report no bubbles and send the manager no acks.
     fn run_manager_poll(
         &mut self,
         now: SimTime,
         rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
-        if !self.is_freeride() {
-            return;
-        }
         let mut cmds = std::mem::take(&mut self.cmd_buf);
         cmds.clear();
         self.manager.poll_into(now, &mut cmds);
@@ -1387,16 +1387,7 @@ impl JobRuntime {
                 self.resync_device(g, s);
                 self.record_device(now, g);
             }
-            Ev::ManagerPollPeriodic => {
-                self.run_manager_poll(now, rpc, s);
-                if !self.finished() {
-                    let ev = self.ev(Ev::ManagerPollPeriodic);
-                    s.schedule_after(self.cfg.manager_poll_interval, ev);
-                }
-            }
-            Ev::ManagerPollOnce => {
-                self.run_manager_poll(now, rpc, s);
-            }
+            Ev::ManagerPoll => self.run_manager_poll(now, rpc, s),
             Ev::Arrival(idx) => self.handle_arrival(now, idx, rpc, policy, s),
             Ev::Fault(idx) => self.handle_fault(now, idx, rpc, policy, s),
             Ev::FaultEnd(idx) => self.handle_fault_end(now, idx, rpc, s),
@@ -1419,7 +1410,7 @@ impl JobRuntime {
                     self.manager.add_bubble(r.stage, r);
                     self.run_manager_poll(now, rpc, s);
                     // Pause promptly when the bubble expires.
-                    let ev = self.ev(Ev::ManagerPollOnce);
+                    let ev = self.ev(Ev::ManagerPoll);
                     s.schedule_at(r.predicted_end().max(now), ev);
                 }
                 Msg::Cmd(cmd) => self.handle_cmd(now, cmd, rpc, s),
@@ -1524,7 +1515,7 @@ impl Ev {
             | Ev::InitDone { .. }
             | Ev::StepLaunch { .. }
             | Ev::GraceCheck { .. } => Subsystem::Orchestrator,
-            Ev::ManagerPollPeriodic | Ev::ManagerPollOnce => Subsystem::Manager,
+            Ev::ManagerPoll => Subsystem::Manager,
             Ev::Deliver(_) => Subsystem::Rpc,
             Ev::Arrival(_) => Subsystem::Service,
             Ev::Fault(_) | Ev::FaultEnd(_) | Ev::Checkpoint => Subsystem::Fault,
@@ -1814,8 +1805,8 @@ pub(crate) fn execute_cluster(
     let mut sim = Simulation::new(world);
 
     // Seed every job, in job order; within a job the seeding order is the
-    // pre-cluster one (training, create RPCs, arrivals, manager loop), so
-    // a one-job cluster replays the exact historical event sequence.
+    // pre-cluster one (training, create RPCs, arrivals), so a one-job
+    // cluster replays the exact historical event sequence.
     for (j, initial_cmds) in initial_cmds_per_job.into_iter().enumerate() {
         // Seed training.
         let start_actions = sim.world_mut().jobs[j].engine.start(SimTime::ZERO);
@@ -1855,7 +1846,7 @@ pub(crate) fn execute_cluster(
                 },
             );
         }
-        // Seed online arrivals and the manager loop.
+        // Seed online arrivals.
         for (idx, at) in arrival_times_per_job[j].iter().enumerate() {
             sim.seed_at(
                 *at,
@@ -1865,10 +1856,6 @@ pub(crate) fn execute_cluster(
                 },
             );
         }
-        sim.seed(ClusterEv {
-            job: j,
-            ev: Ev::ManagerPollPeriodic,
-        });
     }
 
     // Seed the chaos schedule LAST, after every job's normal seeding: the

@@ -11,7 +11,8 @@ pub enum Subsystem {
     /// Training-loop mechanics: op launches, epoch boundaries, device
     /// ticks, worker step/init/grace timers.
     Orchestrator,
-    /// Side-task manager polls (Algorithm 2).
+    /// Side-task manager polls (Algorithm 2) at each reported bubble's
+    /// predicted end; polls on a bubble report or an ack count as `Rpc`.
     Manager,
     /// RPC message deliveries.
     Rpc,

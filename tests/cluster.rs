@@ -20,7 +20,7 @@ fn task_of(gib: u64) -> Submission {
 
 /// A 4-job cluster mixing models, seeds, interfaces, and modes, loaded
 /// with policy-routed, affinity, and online submissions.
-fn four_job_cluster() -> Cluster {
+fn four_job_cluster(profile: bool) -> Cluster {
     let mut cluster = Cluster::builder()
         .job(ClusterJob::new(pipeline(ModelSpec::nanogpt_3_6b(), 2)).seed(1))
         .job(
@@ -36,6 +36,7 @@ fn four_job_cluster() -> Cluster {
         )
         .policy(LeastLoaded)
         .cost_report(false)
+        .profile(profile)
         .build();
     for kind in [WorkloadKind::PageRank, WorkloadKind::ImageProc] {
         cluster
@@ -97,15 +98,15 @@ fn fingerprint(report: &ClusterReport) -> String {
 /// sequential run produce identical reports.
 #[test]
 fn four_job_cluster_is_deterministic_for_any_thread_count() {
-    let reference = fingerprint(&four_job_cluster().run());
+    let reference = fingerprint(&four_job_cluster(false).run());
     assert!(reference.contains("job3 mode=mps"), "{reference}");
 
     // Re-run sequentially…
-    assert_eq!(reference, fingerprint(&four_job_cluster().run()));
+    assert_eq!(reference, fingerprint(&four_job_cluster(false).run()));
 
     // …and across 4 concurrent OS threads, as a --threads 4 sweep would.
     let handles: Vec<_> = (0..4)
-        .map(|_| std::thread::spawn(|| fingerprint(&four_job_cluster().run())))
+        .map(|_| std::thread::spawn(|| fingerprint(&four_job_cluster(false).run())))
         .collect();
     for h in handles {
         assert_eq!(reference, h.join().expect("cluster thread"));
@@ -304,14 +305,10 @@ impl SideTaskWorkload for Counter {
     }
 }
 
-/// A well-behaved iterative task stepping alone in its bubble costs no
-/// events per step: its steps are computed when something touches its
-/// worker. On a four-job cluster of compute-free tasks, with a crash, a
-/// straggler, an RPC spike, checkpoints and hedging on job 0 to touch
-/// the workers mid-bubble, the run needs fewer events than it harvests
-/// steps. Queueing a launch and a completion per step would need two.
-#[test]
-fn lone_side_steps_queue_no_events_of_their_own() {
+/// Four jobs with four compute-free tasks each. Job 0 has a crash, a
+/// straggler, an RPC spike, checkpoints and hedging, which touch its
+/// workers mid-bubble.
+fn counter_cluster(profile: bool) -> Cluster {
     let ms = SimTime::from_millis;
     let secs = SimDuration::from_secs;
     let faults = FaultPlan::new()
@@ -326,7 +323,10 @@ fn lone_side_steps_queue_no_events_of_their_own() {
         ModelSpec::nanogpt_6b(),
         ModelSpec::nanogpt_3_6b(),
     ];
-    let mut builder = Cluster::builder().policy(LeastLoaded).cost_report(false);
+    let mut builder = Cluster::builder()
+        .policy(LeastLoaded)
+        .cost_report(false)
+        .profile(profile);
     for (j, model) in models.into_iter().enumerate() {
         let mut job = ClusterJob::new(pipeline(model, 2)).seed(j as u64 + 1);
         if j == 0 {
@@ -349,7 +349,35 @@ fn lone_side_steps_queue_no_events_of_their_own() {
                 .unwrap();
         }
     }
-    let report = cluster.run();
+    cluster
+}
+
+/// A well-behaved iterative task stepping alone in its bubble costs no
+/// events per step: its steps are computed when something touches its
+/// worker. On the counter cluster, the run needs fewer events than it
+/// harvests steps. Queueing a launch and a completion per step would
+/// need two.
+#[test]
+fn lone_side_steps_queue_no_events_of_their_own() {
+    let report = counter_cluster(false).run();
     let (events, steps) = (report.events_processed, report.total_steps());
     assert!(events < steps, "{events} events for {steps} side steps");
+}
+
+/// Algorithm 2 runs on input only. A bubble report or an ack polls the
+/// manager where it is delivered (an `rpc` event), so the manager's own
+/// events are its polls at reported bubbles' predicted ends, one per
+/// bubble, on the counter cluster and on the four-job cluster with its
+/// imperative and MPS jobs. A timer that polls between inputs shows here
+/// as extra events.
+#[test]
+fn the_manager_polls_once_per_reported_bubble() {
+    for cluster in [counter_cluster(true), four_job_cluster(true)] {
+        let report = cluster.run();
+        let bubbles: u64 = report.jobs.iter().map(|j| j.bubbles_reported).sum();
+        assert!(bubbles > 0);
+        let profile = report.profile.expect("profiling is armed");
+        let manager = profile.rows.iter().find(|r| r.subsystem == "manager");
+        assert_eq!(manager.map(|r| r.events), Some(bubbles));
+    }
 }

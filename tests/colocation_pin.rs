@@ -112,7 +112,7 @@ fn run_colocation_is_pinned() {
     assert_eq!(runs.clone().map(|r| r.0), expected.map(hex), "{cases}");
     assert_eq!(
         runs.map(|r| r.1),
-        [716, 1565, 3210, 4189, 716, 625],
+        [305, 1153, 2738, 3613, 305, 214],
         "events: {cases}"
     );
 }
@@ -133,7 +133,7 @@ fn one_job_cluster_with_cost_report_is_pinned() {
     rejections(&report.rejected, &mut h);
     digest(&report.jobs[0], &mut h);
     assert_eq!(hex(h.finish()), hex(0x5bf9e96b8525a52f));
-    assert_eq!(report.jobs[0].events_processed, 625, "events");
+    assert_eq!(report.jobs[0].events_processed, 214, "events");
 }
 
 /// A two-job cluster whose jobs run different RPC physics, PageRank on
@@ -182,5 +182,5 @@ fn two_jobs_with_their_own_rpc_physics_are_pinned() {
     }
     assert_eq!(hex(h.finish()), hex(0x610710930b29c470));
     let events: Vec<u64> = report.jobs.iter().map(|j| j.events_processed).collect();
-    assert_eq!(events, [723, 719], "events");
+    assert_eq!(events, [312, 308], "events");
 }

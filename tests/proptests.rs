@@ -1,20 +1,22 @@
 //! Property-based tests over the core data structures and invariants:
 //! schedules, the state machine, placement, memory accounting, the event
-//! queue, whole-pipeline termination for arbitrary shapes, replay
-//! determinism under arbitrary fault traces, PageRank's cycle replay
-//! against a plain power iteration, and the NN matrix product against its
-//! reference summation order.
+//! queue, the side-task manager's polling on input only, whole-pipeline
+//! termination for arbitrary shapes, replay determinism under arbitrary
+//! fault traces, PageRank's cycle replay against a plain power iteration,
+//! and the NN matrix product against its reference summation order.
 
 use freeride::core::{
     next_state, run_colocation, AdmissionControl, BestFitMemory, Cluster, ClusterJob,
     ClusterReport, DeadlineLayer, FastestFit, FaultPlan, FirstFit, FreeRideConfig, LeastLoaded,
-    MinTasksJob, Placement, PlacementPolicy, PriorityTag, RateLimit, RateLimitMode, RetryPolicy,
-    ServiceMetrics, SideTaskManager, SideTaskState, Submission, SubmitOptions, SupervisorConfig,
-    TaskId, TenantQuota, Transition, WorkerPolicy,
+    ManagerCmd, MinTasksJob, Placement, PlacementPolicy, PriorityTag, RateLimit, RateLimitMode,
+    RetryPolicy, ServiceMetrics, SideTaskManager, SideTaskState, Submission, SubmitOptions,
+    SupervisorConfig, TaskId, TenantQuota, Transition, WorkerPolicy,
 };
 use freeride::gpu::{HardwareSpec, MemBytes, MemoryPool};
 use freeride::obs::SimTracer;
-use freeride::pipeline::{run_training, ModelSpec, PipelineConfig, Schedule, ScheduleKind};
+use freeride::pipeline::{
+    run_training, BubbleKind, BubbleReport, ModelSpec, PipelineConfig, Schedule, ScheduleKind,
+};
 use freeride::sim::{DetRng, EventQueue, SimDuration, SimTime};
 use freeride::tasks::{ArrivalProcess, TrafficClass, TrafficGen};
 use freeride::tasks::{CsrGraph, Matrix, PageRank, WorkloadKind};
@@ -265,6 +267,174 @@ proptest! {
             let held_total: MemBytes = held.iter().copied().sum();
             prop_assert_eq!(pool.used(), held_total);
             prop_assert!(pool.used() <= total);
+        }
+    }
+}
+
+/// One input of the side-task manager, delivered as the orchestrator
+/// delivers it.
+#[derive(Debug, Clone, Copy)]
+enum ManagerInput {
+    /// A submission: Algorithm 1 places it and issues `Create`.
+    Admit(u64),
+    /// A bubble report reaches the manager.
+    Bubble(BubbleReport),
+    /// A reported bubble's predicted end.
+    BubbleEnd,
+    /// A worker acknowledges a command.
+    Ack {
+        worker: usize,
+        task: TaskId,
+        state: SideTaskState,
+    },
+    /// A worker's side-task daemon crashes.
+    Crash(usize),
+    /// Training ends: stop every live task.
+    StopAll,
+}
+
+/// The acknowledgement a worker sends once it has carried out `cmd`.
+fn ack_for(cmd: ManagerCmd) -> ManagerInput {
+    let (worker, task, state) = match cmd {
+        ManagerCmd::Create { worker, task } => (worker, task, SideTaskState::Created),
+        ManagerCmd::Init { worker, task } | ManagerCmd::Pause { worker, task } => {
+            (worker, task, SideTaskState::Paused)
+        }
+        ManagerCmd::Start { worker, task, .. } => (worker, task, SideTaskState::Running),
+        ManagerCmd::Stop { worker, task } => (worker, task, SideTaskState::Stopped),
+    };
+    ManagerInput::Ack {
+        worker,
+        task,
+        state,
+    }
+}
+
+type CmdLog = Vec<(SimTime, ManagerCmd)>;
+
+/// Runs Algorithm 2 on `m` at `now` and logs the commands it issues.
+fn poll(m: &mut SideTaskManager, now: SimTime, log: &mut CmdLog) {
+    log.extend(m.poll(now).into_iter().map(|cmd| (now, cmd)));
+}
+
+/// Hands `input` to `m` at `now`, then polls it; returns the tasks a crash
+/// lost.
+fn deliver(
+    m: &mut SideTaskManager,
+    now: SimTime,
+    input: ManagerInput,
+    log: &mut CmdLog,
+) -> Vec<TaskId> {
+    let mut lost = Vec::new();
+    match input {
+        ManagerInput::Admit(task) => {
+            let mem = MemBytes::from_gib(1 + task % 3);
+            let (_, cmd) = m.submit(TaskId(task), mem).expect("every task fits");
+            log.push((now, cmd));
+        }
+        ManagerInput::Bubble(report) => m.add_bubble(report.stage, report),
+        ManagerInput::BubbleEnd => {}
+        ManagerInput::Ack {
+            worker,
+            task,
+            state,
+        } => m.on_task_state(worker, task, state),
+        ManagerInput::Crash(worker) => lost = m.on_worker_crash(worker),
+        ManagerInput::StopAll => log.extend(m.stop_all().into_iter().map(|cmd| (now, cmd))),
+    }
+    poll(m, now, log);
+    lost
+}
+
+fn task_counts(m: &SideTaskManager) -> Vec<usize> {
+    (0..m.num_workers())
+        .map(|w| m.worker(w).task_count())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Algorithm 2 needs no timer. Two managers see the same random trace
+    /// of admissions, bubble reports (up to 20 ms before a bubble starts or
+    /// 30 ms after), crashes and acks, each ack one random RPC delay after
+    /// its command. Both are polled after every input and at every
+    /// reported bubble's predicted end, as the orchestrator polls. One of
+    /// them is also polled at random instants between inputs, as a
+    /// periodic tick would. They must issue the same commands at the same
+    /// instants, return the same tasks from a crash and hold the same task
+    /// count on every worker throughout.
+    #[test]
+    fn polls_between_inputs_change_no_command(
+        seed in any::<u64>(),
+        workers in 1usize..5,
+        tasks in 1u64..12,
+        crashes in 0usize..3,
+    ) {
+        const MS: u64 = 1_000_000;
+        let horizon = 2_000 * MS;
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut inputs = EventQueue::new();
+        for task in 0..tasks {
+            let at = SimTime::from_nanos(rng.gen_range_u64(0, horizon / 2));
+            inputs.push(at, ManagerInput::Admit(task));
+        }
+        for stage in 0..workers {
+            let mut start = rng.gen_range_u64(0, 50 * MS);
+            while start < horizon {
+                let duration = rng.gen_range_u64(MS, 150 * MS);
+                let report = BubbleReport {
+                    stage,
+                    start: SimTime::from_nanos(start),
+                    duration: SimDuration::from_nanos(duration),
+                    kind: BubbleKind::TypeB,
+                    free_memory: MemBytes::from_gib(8),
+                };
+                let at = (start + rng.gen_range_u64(0, 50 * MS)).saturating_sub(20 * MS);
+                inputs.push(SimTime::from_nanos(at), ManagerInput::Bubble(report));
+                start += duration + rng.gen_range_u64(MS, 100 * MS);
+            }
+        }
+        for _ in 0..crashes {
+            let at = SimTime::from_nanos(rng.gen_range_u64(0, horizon));
+            inputs.push(at, ManagerInput::Crash(rng.gen_index(workers)));
+        }
+        inputs.push(SimTime::from_nanos(horizon), ManagerInput::StopAll);
+
+        let mems = vec![MemBytes::from_gib(8); workers];
+        let mut on_input = SideTaskManager::new(mems.clone());
+        let mut ticked = SideTaskManager::new(mems);
+        let (mut log, mut ticked_log) = (CmdLog::new(), CmdLog::new());
+        let mut last = 0;
+        while let Some((now, input)) = inputs.pop() {
+            let gap = now.as_nanos() - last;
+            if gap > 1 {
+                let mut ticks: Vec<u64> =
+                    (0..rng.gen_index(3)).map(|_| last + rng.gen_range_u64(1, gap)).collect();
+                ticks.sort_unstable();
+                for at in ticks {
+                    poll(&mut ticked, SimTime::from_nanos(at), &mut ticked_log);
+                    prop_assert_eq!(&ticked_log, &log, "a poll at {} ns with no input", at);
+                    prop_assert_eq!(task_counts(&ticked), task_counts(&on_input));
+                }
+            }
+            let issued = log.len();
+            let lost = deliver(&mut on_input, now, input, &mut log);
+            prop_assert_eq!(deliver(&mut ticked, now, input, &mut ticked_log), lost);
+            prop_assert_eq!(&ticked_log, &log, "{:?} at {}", input, now);
+            prop_assert_eq!(task_counts(&ticked), task_counts(&on_input));
+            if let ManagerInput::Bubble(report) = input {
+                inputs.push(report.predicted_end().max(now), ManagerInput::BubbleEnd);
+            }
+            for &(_, cmd) in &log[issued..] {
+                let delay = SimDuration::from_nanos(rng.gen_range_u64(MS / 20, 5 * MS));
+                inputs.push(now + delay, ack_for(cmd));
+            }
+            last = now.as_nanos();
+        }
+        // With no crash, each worker's first task runs in some bubble.
+        if crashes == 0 {
+            prop_assert!(log.iter().any(|(_, cmd)| matches!(cmd, ManagerCmd::Start { .. })));
         }
     }
 }

@@ -2,9 +2,9 @@
 //! queue, the GPU device fluid model, schedule construction, the manager's
 //! Algorithms 1 & 2, the seeded RNG's draw path, a step of each real side
 //! task the paper's tables run (PageRank, ResNet18, ResNet50, VGG19, Image;
-//! PageRank also computing and replaying its limit cycle, Image also in a
-//! batch of a thousand), and a full simulated training epoch with and
-//! without FreeRide.
+//! PageRank also computing and replaying its limit cycle and settling a
+//! fresh task's steps, Image also in a batch of a thousand), and a full
+//! simulated training epoch with and without FreeRide.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use freeride_core::{run_colocation, FreeRideConfig, SideTaskManager, Submission, TaskId};
@@ -171,10 +171,11 @@ fn bench_workload_steps(c: &mut Criterion) {
         task.init_gpu();
         b.iter(|| black_box(task.run_steps(1000)))
     });
-    // The PageRank task built at seed 1 computes its first 131 steps and
+    // The PageRank task built at seed 1 computes its first 69 steps and
     // replays its bit-exact limit cycle from then on, so `tasks/PageRank
     // step` times computed steps only while the harness makes fewer calls
-    // than that. These two time each phase on that task's graph.
+    // than that (it makes at most 51). These two time each phase on that
+    // task's graph.
     let graph = CsrGraph::power_law(1000, 4, &mut DetRng::seed_from_u64(1));
     c.bench_function("tasks/PageRank first 60 steps", |b| {
         b.iter(|| {
@@ -197,6 +198,22 @@ fn bench_workload_steps(c: &mut Criterion) {
             }
             black_box(acc)
         })
+    });
+    // Each `online_traffic` worker settles a PageRank task's ~22,500
+    // charged steps in one `run_steps` call on a fresh task: the computed
+    // steps, then one jump through the replayed cycle. The harness makes at
+    // most 51 calls, each on a task built beforehand, so a row times the
+    // settle alone.
+    let mut fresh: Vec<_> = (0..51)
+        .map(|_| {
+            let mut task = WorkloadKind::PageRank.build(1);
+            task.create();
+            task.init_gpu();
+            task
+        })
+        .collect();
+    c.bench_function("tasks/PageRank settle 22,500 steps", |b| {
+        b.iter(|| fresh.pop().and_then(|mut task| task.run_steps(22_500)))
     });
 }
 

@@ -152,6 +152,10 @@ impl PageRankTask {
             steps: 0,
         }
     }
+
+    fn solver(&mut self) -> &mut PageRank {
+        self.solver.as_mut().expect("run_step before init_gpu")
+    }
 }
 
 impl SideTaskWorkload for PageRankTask {
@@ -170,10 +174,19 @@ impl SideTaskWorkload for PageRankTask {
     }
 
     fn run_step(&mut self) -> f64 {
-        let s = self.solver.as_mut().expect("run_step before init_gpu");
-        let delta = s.step();
+        let delta = self.solver().step();
         self.steps += 1;
         delta
+    }
+
+    /// Once the rank vector replays its limit cycle, the solver jumps the
+    /// remaining steps at once (see [`PageRank`]).
+    fn run_steps(&mut self, n: u64) -> Option<f64> {
+        if n == 0 {
+            return None;
+        }
+        self.steps += n;
+        self.solver().run_steps(n)
     }
 
     fn steps_done(&self) -> u64 {

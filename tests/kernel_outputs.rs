@@ -84,7 +84,7 @@ fn pagerank_digest(nodes: usize, seed: u64) -> u64 {
     h.finish()
 }
 
-/// The rank vector falls into a bit-exact limit cycle after 60–78 steps,
+/// The rank vector falls into a bit-exact limit cycle after 58–80 steps,
 /// which `PageRank` then replays. One graph per cycle length seen, with
 /// digests captured while every step was still computed, so replaying any
 /// period must read back exactly what recomputing it did.

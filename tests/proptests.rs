@@ -472,17 +472,32 @@ fn power_iteration(graph: &CsrGraph, steps: usize) -> (Vec<f64>, Vec<f64>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// PageRank's replay of its bit-exact limit cycle returns, step for
-    /// step, what recomputing every iterate returns.
+    /// PageRank's in-edge sweep and its replay of the bit-exact limit cycle
+    /// return, step for step, what the push iteration returns. Besides
+    /// power-law graphs, which have no sink and no self-loop, it runs on
+    /// uniformly random edge lists, which have sinks, and always on at
+    /// least one self-loop and one duplicated edge.
     #[test]
     fn pagerank_replay_matches_recompute(
         nodes in 2usize..300,
         edges_per_node in 1usize..6,
+        random_edges in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let graph = CsrGraph::power_law(nodes, edges_per_node, &mut DetRng::seed_from_u64(seed));
+        let mut rng = DetRng::seed_from_u64(seed);
+        let graph = if random_edges {
+            let mut node = || rng.gen_index(nodes) as u32;
+            let mut edges: Vec<(u32, u32)> =
+                (0..nodes * edges_per_node / 2).map(|_| (node(), node())).collect();
+            let looped = node();
+            edges.push((looped, looped));
+            edges.push(edges[0]);
+            CsrGraph::from_edges(nodes, &edges)
+        } else {
+            CsrGraph::power_law(nodes, edges_per_node, &mut rng)
+        };
         let (deltas, ranks) = power_iteration(&graph, 400);
         let mut pr = PageRank::new(graph);
         for (i, delta) in deltas.iter().enumerate() {
@@ -501,12 +516,14 @@ proptest! {
     /// Steps run in batches (`run_steps`, as a worker settles a task's
     /// charged steps) end where single steps do, for any chunking: the
     /// same values, `steps_done` and next step. Image seeks its pixel
-    /// stream past every skipped image; PageRank loops `run_step`.
+    /// stream past every skipped image; PageRank computes up to its limit
+    /// cycle (60–90 steps in) and jumps through the replayed cycle after
+    /// it, so chunks of up to 199 steps straddle both.
     #[test]
     fn run_steps_in_any_chunking_matches_single_steps(
         image in any::<bool>(),
         seed in any::<u64>(),
-        chunks in prop::collection::vec(0u64..10, 1..5),
+        chunks in prop::collection::vec(0u64..200, 1..6),
     ) {
         let kind = if image { WorkloadKind::ImageProc } else { WorkloadKind::PageRank };
         let (mut batched, mut single) = (kind.build(seed), kind.build(seed));

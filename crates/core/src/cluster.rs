@@ -33,13 +33,12 @@
 //! orchestrator ([`crate::run_colocation`] builds exactly that).
 
 use crate::config::{ColocationMode, FreeRideConfig, InterfaceKind};
-use crate::deployment::{
-    assemble_report, AcceptedSubmission, DeploymentReport, RejectedSubmission, Submission,
-};
+use crate::deployment::{AcceptedSubmission, DeploymentReport, RejectedSubmission, Submission};
 use crate::fault::{FaultPlan, SubmitOptions};
 use crate::health::{HealthReport, HealthState, SupervisorConfig};
 use crate::manager::SubmitError;
-use crate::orchestrator::{execute_cluster, JobExecSpec, TaskSummary};
+use crate::metrics::evaluate;
+use crate::orchestrator::{execute_cluster, TaskSummary};
 use crate::service::{ServiceChain, ServiceReport, SubmitMiddleware};
 use crate::state::SideTaskState;
 use crate::task::{StopReason, TaskId};
@@ -47,7 +46,7 @@ use freeride_gpu::{HardwareSpec, MemBytes};
 use freeride_obs::{
     ProfileReport, TraceEvent, TraceEventKind, TraceHandle, TraceSink, TraceSummary,
 };
-use freeride_pipeline::{PipelineConfig, ScheduleKind};
+use freeride_pipeline::{run_training, PipelineConfig, ScheduleKind};
 use freeride_sim::{SimDuration, SimTime};
 use freeride_tasks::WorkloadTag;
 use std::collections::BTreeMap;
@@ -211,6 +210,10 @@ pub trait PlacementPolicy: Send + Sync {
     /// Load-shedding middleware hook: whether submissions to `worker` of
     /// `job` should currently be shed (rejected with
     /// [`SubmitError::CircuitOpen`]) instead of admitted. Default: never.
+    ///
+    /// Up-front submissions are admitted at t = 0 through the same check
+    /// as arrivals, so a policy that blocks a worker at t = 0 sheds
+    /// up-front submissions too. No stock policy does.
     fn blocks(&self, now: SimTime, job: usize, worker: usize) -> bool {
         let _ = (now, job, worker);
         false
@@ -528,13 +531,14 @@ impl ClusterJob {
 }
 
 /// One job's submission-time state inside a cluster.
-struct JobSlot {
-    pipeline: PipelineConfig,
-    cfg: FreeRideConfig,
-    faults: FaultPlan,
-    checkpoint: Option<SimDuration>,
-    supervise: Option<SupervisorConfig>,
-    accepted: Vec<AcceptedSubmission>,
+pub(crate) struct JobSlot {
+    pub(crate) pipeline: PipelineConfig,
+    pub(crate) cfg: FreeRideConfig,
+    pub(crate) faults: FaultPlan,
+    pub(crate) checkpoint: Option<SimDuration>,
+    pub(crate) supervise: Option<SupervisorConfig>,
+    /// Accepted submissions in submission order, so ascending by id.
+    pub(crate) accepted: Vec<AcceptedSubmission>,
     /// Submissions routed to this job (pinned or job-level).
     admitted: usize,
     /// Per-worker pinned-submission counts (feeds [`WorkerView::assigned`]).
@@ -1087,42 +1091,21 @@ impl Cluster {
             slot.cfg.validate();
         }
         let rpc_seed = self.seed.unwrap_or(self.jobs[0].cfg.seed);
-        let (outputs, profile) = {
-            let specs: Vec<JobExecSpec<'_>> = self
-                .jobs
-                .iter()
-                .map(|s| JobExecSpec {
-                    pipeline: &s.pipeline,
-                    cfg: &s.cfg,
-                    accepted: &s.accepted,
-                    faults: &s.faults,
-                    checkpoint: s.checkpoint,
-                    supervise: s.supervise.as_ref(),
-                })
-                .collect();
-            execute_cluster(
-                &specs,
-                rpc_seed,
-                Arc::clone(&self.policy),
-                self.tracer.clone(),
-                self.profile,
-            )
-        };
-        let events_processed: u64 = outputs.iter().map(|o| o.events_processed).sum();
-        let jobs: Vec<DeploymentReport> = self
-            .jobs
-            .into_iter()
-            .zip(outputs)
-            .map(|(slot, outcome)| {
-                assemble_report(
-                    &slot.pipeline,
-                    &slot.cfg,
-                    &slot.accepted,
-                    outcome,
-                    self.cost_report,
-                )
-            })
-            .collect();
+        let (mut jobs, profile) = execute_cluster(
+            &self.jobs,
+            rpc_seed,
+            Arc::clone(&self.policy),
+            self.tracer.clone(),
+            self.profile,
+        );
+        if self.cost_report {
+            for (report, slot) in jobs.iter_mut().zip(&self.jobs) {
+                let baseline = run_training(&slot.pipeline, slot.cfg.schedule).total_time;
+                report.baseline_time = Some(baseline);
+                report.cost = Some(evaluate(baseline, report.total_time, &report.work()));
+            }
+        }
+        let events_processed: u64 = jobs.iter().map(|j| j.events_processed).sum();
         let mut health = HealthReport::default();
         for (j, job) in jobs.iter().enumerate() {
             health.merge_from(j, job.health.clone());

@@ -15,24 +15,23 @@
 //!
 //! [`SideTaskManager::submit`]: crate::manager::SideTaskManager::submit
 
-use crate::config::{ColocationMode, FreeRideConfig};
+use crate::config::ColocationMode;
 use crate::fault::RetryPolicy;
 use crate::health::{HealthReport, Recovery};
 use crate::manager::SubmitError;
-use crate::metrics::{evaluate, BubbleBreakdown, CostReport, TaskWork};
-use crate::orchestrator::{ExecutionOutput, TaskSummary};
+use crate::metrics::{BubbleBreakdown, CostReport, TaskWork};
+use crate::orchestrator::TaskSummary;
 use crate::task::{Misbehavior, TaskId};
 use freeride_gpu::MemBytes;
-use freeride_pipeline::{run_training, PipelineConfig};
 use freeride_sim::{SimDuration, SimTime, TraceRecorder};
 use freeride_tasks::{
     SideTaskWorkload, WorkloadFactory, WorkloadKind, WorkloadProfile, WorkloadTag, DEFAULT_BATCH,
 };
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-/// Default per-step duration assumed for custom workloads until the
-/// profiler (or [`Submission::with_step_time`]) says otherwise.
+/// Default per-step duration assumed for custom workloads until
+/// [`Submission::with_step_time`] or [`Submission::with_profile`] says
+/// otherwise.
 const CUSTOM_DEFAULT_STEP: SimDuration = SimDuration::from_millis(10);
 
 /// A side task to submit to a cluster: a workload source (built-in
@@ -287,75 +286,6 @@ pub(crate) struct AcceptedSubmission {
     pub(crate) outcome: Arc<OnceLock<TaskSummary>>,
 }
 
-/// Assembles one job's raw execution output into a [`DeploymentReport`]:
-/// resolves task handles, folds in-run rejections back onto their
-/// submissions, and (when enabled) trains the no-side-task baseline for
-/// the paper's cost metrics. Called by [`crate::Cluster::run`] once per
-/// job.
-pub(crate) fn assemble_report(
-    pipeline: &PipelineConfig,
-    cfg: &FreeRideConfig,
-    accepted: &[AcceptedSubmission],
-    mut outcome: ExecutionOutput,
-    cost_report: bool,
-) -> DeploymentReport {
-    // Id-indexed lookups: one map build instead of a linear scan per
-    // accepted submission (sweeps submit hundreds of tasks).
-    {
-        let by_id: BTreeMap<TaskId, &TaskSummary> =
-            outcome.tasks.iter().map(|t| (t.id, t)).collect();
-        for acc in accepted {
-            if let Some(summary) = by_id.get(&acc.id) {
-                let _ = acc.outcome.set((*summary).clone());
-            }
-        }
-    }
-    let mut rejected = Vec::new();
-    if !outcome.late_rejected.is_empty() {
-        let accepted_by_id: BTreeMap<TaskId, &AcceptedSubmission> =
-            accepted.iter().map(|a| (a.id, a)).collect();
-        for (id, error) in std::mem::take(&mut outcome.late_rejected) {
-            if let Some(acc) = accepted_by_id.get(&id) {
-                rejected.push(RejectedSubmission {
-                    submission: acc.submission.clone(),
-                    error,
-                });
-            }
-        }
-    }
-
-    let (baseline_time, cost) = if cost_report {
-        let baseline = run_training(pipeline, cfg.schedule).total_time;
-        let work: Vec<TaskWork> = outcome
-            .tasks
-            .iter()
-            .map(|t| TaskWork::new(&t.profile, t.steps))
-            .collect();
-        (
-            Some(baseline),
-            Some(evaluate(baseline, outcome.total_time, &work)),
-        )
-    } else {
-        (None, None)
-    };
-
-    DeploymentReport {
-        mode: cfg.mode,
-        total_time: outcome.total_time,
-        epoch_times: outcome.epoch_times,
-        tasks: outcome.tasks,
-        rejected,
-        breakdown: outcome.breakdown,
-        trace: outcome.trace,
-        bubbles_reported: outcome.bubbles_reported,
-        events_processed: outcome.events_processed,
-        recoveries: outcome.recoveries,
-        health: outcome.health,
-        baseline_time,
-        cost,
-    }
-}
-
 /// One job's outcome: times, per-task summaries, the rejected
 /// submissions kept whole, bubble accounting, and (when enabled) the
 /// baseline time plus the paper's §6.1.5 cost metrics.
@@ -421,10 +351,11 @@ impl DeploymentReport {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterJob};
+    use crate::config::FreeRideConfig;
     use crate::fault::SubmitOptions;
     use crate::state::SideTaskState;
     use crate::task::StopReason;
-    use freeride_pipeline::ModelSpec;
+    use freeride_pipeline::{ModelSpec, PipelineConfig};
 
     fn pipeline(epochs: usize) -> PipelineConfig {
         PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(epochs)

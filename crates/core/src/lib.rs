@@ -96,7 +96,6 @@ mod health;
 mod manager;
 mod metrics;
 mod orchestrator;
-mod profiler;
 mod service;
 mod state;
 mod task;
@@ -119,7 +118,6 @@ pub use metrics::{
     evaluate, time_increase, BreakdownFractions, BubbleBreakdown, CostReport, TaskWork,
 };
 pub use orchestrator::{run_baseline, run_baseline_with, run_colocation, TaskSummary};
-pub use profiler::{profile_side_task, profile_side_task_on, MeasuredProfile};
 pub use service::{
     AdmissionControl, DeadlineLayer, LatencyHistogram, LayerReport, Next, PriorityTag, RateLimit,
     RateLimitMode, ServiceMetrics, ServiceReport, SubmitMiddleware, TenantQuota, TenantStats,

@@ -451,20 +451,14 @@ impl SideTaskManager {
         worker: usize,
     ) -> Result<(usize, ManagerCmd), SubmitError> {
         assert!(worker < self.workers.len(), "worker {worker} out of range");
-        let w = &mut self.workers[worker];
-        if w.gpu_mem <= mem {
+        let free = self.workers[worker].gpu_mem;
+        if free <= mem {
             return Err(SubmitError::InsufficientMemory {
                 needed: mem,
-                best_worker_free: w.gpu_mem,
+                best_worker_free: free,
             });
         }
-        w.task_queue.push_back(TaskView {
-            id,
-            mem,
-            state: SideTaskState::Submitted,
-            awaiting_ack: true, // Create outstanding
-        });
-        Ok((worker, ManagerCmd::Create { worker, task: id }))
+        Ok((worker, self.admit_to(id, mem, worker)))
     }
 
     /// Records a bubble reported by the instrumented training system

@@ -40,19 +40,28 @@
 //! cluster [`PlacementPolicy`](crate::cluster::PlacementPolicy) pinned at
 //! submission time). Submissions arriving after training finished are
 //! recorded as rejected with [`SubmitError::ArrivedAfterShutdown`].
+//!
+//! A task has one way in and one way out. Up-front and arriving
+//! submissions pass one admission ([`JobRuntime::admit`]: Algorithm 1
+//! under the fault overlays). Every task, whether admitted, restored
+//! when its crashed worker rejoins, migrated off a failing worker or
+//! hedged, is then built by one spawn ([`JobRuntime::spawn`]) and
+//! created when its `Create` command lands; each placed task keeps one
+//! [`Source`] that rebuilds it. Results leave through one report:
+//! [`execute_cluster`] returns each job's [`DeploymentReport`] with the
+//! task handles resolved.
 
-use crate::cluster::{Cluster, ClusterJob, Placement, PlacementPolicy};
+use crate::cluster::{Cluster, ClusterJob, JobSlot, Placement, PlacementPolicy};
 use crate::config::{ColocationMode, FreeRideConfig, InterfaceKind};
-use crate::deployment::{AcceptedSubmission, DeploymentReport, Submission};
-use crate::fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy, SubmitOptions};
+use crate::deployment::{AcceptedSubmission, DeploymentReport, RejectedSubmission, Submission};
+use crate::fault::{FaultEvent, FaultKind, RetryPolicy, SubmitOptions};
 use crate::health::{
-    HealthReport, HealthState, Recovery, RecoveryKind, Supervisor, SupervisorConfig,
-    HEARTBEAT_INTERVAL, HEDGE_INTERVAL,
+    HealthState, Recovery, RecoveryKind, Supervisor, HEARTBEAT_INTERVAL, HEDGE_INTERVAL,
 };
 use crate::manager::{ManagerCmd, SideTaskManager, SubmitError};
 use crate::metrics::BubbleBreakdown;
 use crate::state::SideTaskState;
-use crate::task::{Misbehavior, SideTask, StopReason, TaskId};
+use crate::task::{SideTask, StopReason, TaskId};
 use crate::worker::{PendingStep, Worker, WorkerEffect};
 use freeride_gpu::{GpuDevice, GpuId, MemBytes, ProcessId, SharingKind};
 use freeride_obs::{
@@ -62,7 +71,7 @@ use freeride_pipeline::{BubbleReport, EngineAction, PipelineConfig, PipelineEngi
 use freeride_sim::{
     DetRng, EventId, RunOutcome, Scheduler, SimDuration, SimTime, Simulation, TraceRecorder, World,
 };
-use freeride_tasks::{SideTaskWorkload, WorkloadProfile, WorkloadTag};
+use freeride_tasks::{WorkloadProfile, WorkloadTag};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -165,12 +174,22 @@ struct ClusterEv {
     ev: Ev,
 }
 
+/// What a placed task is built from. Every incarnation of a submission
+/// (restored, migrated or hedged) shares its source.
+#[derive(Clone)]
+struct Source {
+    submission: Submission,
+    /// The batch-adjusted profile it runs under.
+    profile: WorkloadProfile,
+    /// The submitted id: every incarnation's workload is built from its
+    /// seed.
+    root: TaskId,
+}
+
 /// An online submission waiting for its arrival event.
 struct ArrivalSlot {
     id: TaskId,
-    tag: WorkloadTag,
-    profile: WorkloadProfile,
-    misbehavior: Misbehavior,
+    source: Source,
     /// Worker pinned by a cluster-level placement policy, if any; `None`
     /// defers to the job manager's Algorithm 1.
     pinned: Option<usize>,
@@ -179,12 +198,10 @@ struct ArrivalSlot {
     retry: Option<RetryPolicy>,
     /// Admission attempts already failed (drives the backoff exponent).
     attempt: u32,
-    workload: Box<dyn SideTaskWorkload>,
 }
 
 /// A side task that died with its worker's daemon, remembered for
 /// checkpoint/restart.
-#[derive(Clone, Copy)]
 struct LostTask {
     /// The id the task ran under when it died.
     orig: TaskId,
@@ -211,12 +228,14 @@ struct JobRuntime {
     pending_create: BTreeMap<TaskId, SideTask>,
     pid_index: BTreeMap<ProcessId, (usize, TaskId)>,
     tick_ids: Vec<Option<EventId>>,
-    /// Placement log `(id, worker, tag, profile)`, grown as tasks place.
-    placements: Vec<(TaskId, usize, WorkloadTag, WorkloadProfile)>,
+    /// Every task spawned in this run: its worker and its source.
+    placed: BTreeMap<TaskId, (usize, Source)>,
+    /// Spawned ids in spawn order: the report's task order.
+    order: Vec<TaskId>,
     /// Online submissions not yet arrived.
     arrivals: Vec<Option<ArrivalSlot>>,
-    /// Submissions that could not be placed mid-run.
-    late_rejected: Vec<(TaskId, SubmitError)>,
+    /// Submissions that could not be placed in the run.
+    late_rejected: Vec<RejectedSubmission>,
     /// Tasks already sent a `Stop` after training ended (suppresses
     /// duplicates when late acknowledgements race the shutdown).
     stop_sent: BTreeSet<TaskId>,
@@ -257,9 +276,6 @@ struct JobRuntime {
     lost: Vec<LostTask>,
     /// Restore chain: a lost task's id → the id it was re-admitted under.
     restored: BTreeMap<TaskId, TaskId>,
-    /// Submission sources for rebuildable tasks (checkpoint mode only):
-    /// id → (submission, profile, root id for the workload seed).
-    restore_subs: BTreeMap<TaskId, (Submission, WorkloadProfile, TaskId)>,
     /// Allocator for `RESTORE_ID_BASE`-range restore ids.
     next_restore_id: u64,
     /// Recovery log: task, first failure/crash → re-admission latency,
@@ -533,18 +549,22 @@ impl JobRuntime {
             .is_some_and(|s| s.is_drained(worker))
     }
 
-    /// The admission half of an online arrival, with the chaos overlays
-    /// layered on Algorithm 1: a transient-OOM window rejects outright,
-    /// downed workers reject `WorkerDown`, circuit-broken workers reject
-    /// `CircuitOpen`, and unpinned submissions route around both. With no
-    /// fault in force this is byte-for-byte the pre-chaos admission path.
-    fn admit_arrival(
+    /// Admits task `id` for an up-front or arriving submission: Algorithm
+    /// 1 with the chaos overlays layered on it. A transient-OOM window
+    /// rejects outright, downed workers reject `WorkerDown`, workers
+    /// `policy` blocks reject `CircuitOpen`, and unpinned submissions
+    /// route around both. With no fault in force and no worker blocked
+    /// (so at t = 0 under every stock policy) this is exactly
+    /// [`SideTaskManager::submit`], or [`SideTaskManager::submit_to`] when
+    /// `pinned`.
+    fn admit(
         &mut self,
         now: SimTime,
-        slot: &ArrivalSlot,
+        id: TaskId,
+        mem: MemBytes,
+        pinned: Option<usize>,
         policy: &dyn PlacementPolicy,
     ) -> Result<(usize, ManagerCmd), SubmitError> {
-        let mem = slot.profile.gpu_mem;
         if self.oom_until.is_some_and(|t| now < t) {
             // The allocator is transiently exhausted cluster-side: no
             // worker can host anything until the window closes.
@@ -553,23 +573,23 @@ impl JobRuntime {
                 best_worker_free: MemBytes::ZERO,
             });
         }
-        if let Some(w) = slot.pinned {
+        if let Some(w) = pinned {
             if self.worker_down(now, w) || self.drained(w) {
                 return Err(SubmitError::WorkerDown { worker: w });
             }
             if policy.blocks(now, self.job, w) {
                 return Err(SubmitError::CircuitOpen { worker: w });
             }
-            return self.manager.submit_to(slot.id, mem, w);
+            return self.manager.submit_to(id, mem, w);
         }
         let blocked: Vec<bool> = (0..self.workers.len())
             .map(|w| self.worker_down(now, w) || self.drained(w) || policy.blocks(now, self.job, w))
             .collect();
         if !blocked.iter().any(|&b| b) {
-            return self.manager.submit(slot.id, mem);
+            return self.manager.submit(id, mem);
         }
         if let Some(w) = self.manager.select_worker(mem, &blocked) {
-            return Ok((w, self.manager.admit_to(slot.id, mem, w)));
+            return Ok((w, self.manager.admit_to(id, mem, w)));
         }
         // Nothing placeable. If a blocked worker would have fit, name the
         // fault that blocked it; otherwise it is a plain capacity miss.
@@ -588,6 +608,28 @@ impl JobRuntime {
         })
     }
 
+    /// Builds task `id` from `source` for `worker`, credited `steps`; the
+    /// worker creates it when its `Create` command lands. The one way a
+    /// task reaches a worker, whether it was submitted up front, arrived,
+    /// or is restored, migrated or hedged.
+    fn spawn(&mut self, now: SimTime, id: TaskId, worker: usize, source: Source, steps: u64) {
+        let sub = &source.submission;
+        let workload = sub.build_workload(self.cfg.seed ^ source.root.0);
+        let mut task = SideTask::new(
+            id,
+            sub.tag().clone(),
+            source.profile,
+            self.interface,
+            workload,
+            now,
+        )
+        .with_misbehavior(sub.misbehavior());
+        task.steps = steps;
+        self.pending_create.insert(id, task);
+        self.order.push(id);
+        self.placed.insert(id, (worker, source));
+    }
+
     fn handle_arrival(
         &mut self,
         now: SimTime,
@@ -600,11 +642,14 @@ impl JobRuntime {
             return;
         };
         if self.stops_issued || self.training_done {
-            self.late_rejected
-                .push((slot.id, SubmitError::ArrivedAfterShutdown { arrival: now }));
+            self.late_rejected.push(RejectedSubmission {
+                submission: slot.source.submission,
+                error: SubmitError::ArrivedAfterShutdown { arrival: now },
+            });
             return;
         }
-        match self.admit_arrival(now, &slot, policy) {
+        let mem = slot.source.profile.gpu_mem;
+        match self.admit(now, slot.id, mem, slot.pinned, policy) {
             Ok((w, cmd)) => {
                 // A retried arrival landing at last closes its recovery
                 // window (first rejection → successful admission).
@@ -627,26 +672,16 @@ impl JobRuntime {
                     },
                     true,
                 );
-                let task = SideTask::new(
-                    slot.id,
-                    slot.tag.clone(),
-                    slot.profile,
-                    self.interface,
-                    slot.workload,
-                    now,
-                )
-                .with_misbehavior(slot.misbehavior);
-                self.pending_create.insert(slot.id, task);
                 self.emit_with(now, Some(w), || TraceEventKind::TaskAdmitted {
                     task: slot.id.0,
-                    name: slot.tag.name().to_string(),
+                    name: slot.source.submission.tag().name().to_string(),
                 });
                 self.emit_with(now, Some(w), || TraceEventKind::Placement {
                     task: Some(slot.id.0),
                     accepted: true,
                     detail: format!("worker{w}"),
                 });
-                self.placements.push((slot.id, w, slot.tag, slot.profile));
+                self.spawn(now, slot.id, w, slot.source, 0);
                 self.send(now, Msg::Cmd(cmd), rpc, s);
             }
             Err(e) => {
@@ -681,7 +716,10 @@ impl JobRuntime {
                         let ev = self.ev(Ev::Arrival(idx));
                         s.schedule_after(backoff, ev);
                     }
-                    _ => self.late_rejected.push((slot.id, e)),
+                    _ => self.late_rejected.push(RejectedSubmission {
+                        submission: slot.source.submission,
+                        error: e,
+                    }),
                 }
             }
         }
@@ -827,7 +865,7 @@ impl JobRuntime {
             FaultKind::WorkerCrash { worker, .. } => {
                 self.down_until[worker] = None;
                 if self.ckpt_interval.is_some() && !self.stops_issued && !self.training_done {
-                    self.restore_lost_tasks(now, worker, rpc, s);
+                    self.respawn_lost(now, worker, RecoveryKind::Rejoin, rpc, s);
                 }
             }
             FaultKind::RpcSpike { .. } | FaultKind::OomWindow { .. } => {
@@ -837,154 +875,82 @@ impl JobRuntime {
         }
     }
 
-    /// Checkpoint/restart's restore half: the daemon on `worker` is back,
-    /// so re-admit every task it lost, resuming from the last snapshot.
-    fn restore_lost_tasks(
-        &mut self,
-        now: SimTime,
-        worker: usize,
-        rpc: &mut DetRng,
-        s: &mut Scheduler<'_, ClusterEv>,
-    ) {
-        let mut to_restore = Vec::new();
-        self.lost.retain(|l| {
-            if l.worker == worker {
-                to_restore.push(*l);
-                false
-            } else {
-                true
-            }
-        });
-        for l in to_restore {
-            let Some((sub, profile, root)) = self.restore_subs.get(&l.orig).cloned() else {
-                continue; // not rebuildable (no submission source)
-            };
-            // It fit on this worker before the crash, so re-admit it
-            // there unconditionally; restarts replay the same placement.
-            self.respawn_lost(
-                now,
-                l,
-                worker,
-                sub,
-                profile,
-                root,
-                RecoveryKind::Rejoin,
-                rpc,
-                s,
-            );
-        }
-    }
-
-    /// The supervisor's proactive half: a worker turned Suspect/Dead, so
-    /// move its checkpointed lost tasks to healthy workers *now* instead
-    /// of waiting for the daemon to rejoin. Tasks with no healthy host
-    /// stay queued for the rejoin restore.
-    fn migrate_lost_tasks(
-        &mut self,
-        now: SimTime,
-        from: usize,
-        rpc: &mut DetRng,
-        s: &mut Scheduler<'_, ClusterEv>,
-    ) {
-        let mut to_move = Vec::new();
-        self.lost.retain(|l| {
-            if l.worker == from {
-                to_move.push(*l);
-                false
-            } else {
-                true
-            }
-        });
-        for l in to_move {
-            let Some((sub, profile, root)) = self.restore_subs.get(&l.orig).cloned() else {
-                continue; // not rebuildable (no submission source)
-            };
-            let Some(target) = self.migration_target(profile.gpu_mem, from, now) else {
-                self.lost.push(l); // no healthy host: wait for the rejoin
-                continue;
-            };
-            self.respawn_lost(
-                now,
-                l,
-                target,
-                sub,
-                profile,
-                root,
-                RecoveryKind::Migration,
-                rpc,
-                s,
-            );
-            if let Some(sup) = &mut self.supervisor {
-                sup.record_migration();
-            }
-        }
-    }
-
-    /// The least-loaded healthy worker (not drained, not down, not the
-    /// failing one) whose bubble memory fits `needed`; ties break toward
-    /// the lower index, deterministically.
-    fn migration_target(&self, needed: MemBytes, exclude: usize, now: SimTime) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None; // (task_count, worker)
-        for w in 0..self.workers.len() {
-            if w == exclude || self.worker_down(now, w) || self.drained(w) {
-                continue;
-            }
-            if self.manager.worker(w).gpu_mem <= needed {
-                continue;
-            }
-            let n = self.manager.worker(w).task_count();
-            if best.is_none_or(|(bn, _)| n < bn) {
-                best = Some((n, w));
-            }
-        }
-        best.map(|(_, w)| w)
-    }
-
-    /// Re-admits one lost task onto `target` under a fresh restore-range
-    /// id, resuming from its checkpointed steps — the shared tail of the
-    /// rejoin-restore and supervised-migration paths.
-    #[allow(clippy::too_many_arguments)]
+    /// Re-admits every checkpointed task lost with `from`'s daemon under a
+    /// fresh restore-range id, resuming from its last snapshot. On a
+    /// rejoin it returns to `from`, where it fit before the crash. On a
+    /// migration it moves to the least-loaded healthy host, ties toward
+    /// the lower index; a task with no host stays lost until the rejoin.
     fn respawn_lost(
         &mut self,
         now: SimTime,
-        l: LostTask,
-        target: usize,
-        sub: Submission,
-        profile: WorkloadProfile,
-        root: TaskId,
+        from: usize,
         kind: RecoveryKind,
         rpc: &mut DetRng,
         s: &mut Scheduler<'_, ClusterEv>,
     ) {
-        let new_id = TaskId(RESTORE_ID_BASE | self.next_restore_id);
-        self.next_restore_id += 1;
-        let cmd = self.manager.admit_to(new_id, profile.gpu_mem, target);
-        let mut task = SideTask::new(
-            new_id,
-            sub.tag().clone(),
-            profile,
-            self.interface,
-            sub.build_workload(self.cfg.seed ^ root.0),
-            now,
-        )
-        .with_misbehavior(sub.misbehavior());
-        task.steps = l.steps;
-        self.pending_create.insert(new_id, task);
-        self.placements
-            .push((new_id, target, sub.tag().clone(), profile));
-        self.restored.insert(l.orig, new_id);
-        self.restore_subs.insert(new_id, (sub, profile, root));
-        self.ckpt_steps.insert(new_id, l.steps);
-        self.recoveries.push(Recovery {
-            task: l.orig,
-            latency: now.saturating_since(l.crashed_at),
-            kind,
-        });
-        self.emit_with(now, Some(target), || TraceEventKind::Recovery {
-            task: l.orig.0,
-            kind: kind.label(),
-        });
-        self.send(now, Msg::Cmd(cmd), rpc, s);
+        let (lost, kept): (Vec<LostTask>, Vec<LostTask>) = std::mem::take(&mut self.lost)
+            .into_iter()
+            .partition(|l| l.worker == from);
+        self.lost = kept;
+        for l in lost {
+            let source = self.placed[&l.orig].1.clone();
+            let mem = source.profile.gpu_mem;
+            let target = if kind == RecoveryKind::Migration {
+                let least_loaded = self
+                    .hosts(mem, from, now)
+                    .min_by_key(|&w| self.manager.worker(w).task_count());
+                let Some(w) = least_loaded else {
+                    self.lost.push(l);
+                    continue;
+                };
+                if let Some(sup) = &mut self.supervisor {
+                    sup.record_migration();
+                }
+                w
+            } else {
+                from
+            };
+            let id = TaskId(RESTORE_ID_BASE | self.next_restore_id);
+            self.next_restore_id += 1;
+            let cmd = self.manager.admit_to(id, mem, target);
+            self.spawn(now, id, target, source, l.steps);
+            self.restored.insert(l.orig, id);
+            self.ckpt_steps.insert(id, l.steps);
+            self.recoveries.push(Recovery {
+                task: l.orig,
+                latency: now.saturating_since(l.crashed_at),
+                kind,
+            });
+            self.emit_with(now, Some(target), || TraceEventKind::Recovery {
+                task: l.orig.0,
+                kind: kind.label(),
+            });
+            self.send(now, Msg::Cmd(cmd), rpc, s);
+        }
+    }
+
+    /// The healthy workers other than `exclude` (neither down nor
+    /// drained) whose bubble memory fits `needed`, in index order.
+    fn hosts(
+        &self,
+        needed: MemBytes,
+        exclude: usize,
+        now: SimTime,
+    ) -> impl Iterator<Item = usize> + '_ {
+        (0..self.workers.len()).filter(move |&w| {
+            w != exclude
+                && !self.worker_down(now, w)
+                && !self.drained(w)
+                && self.manager.worker(w).gpu_mem > needed
+        })
+    }
+
+    /// The last incarnation of task `id`, following its restore chain.
+    fn tail(&self, mut id: TaskId) -> TaskId {
+        while let Some(&next) = self.restored.get(&id) {
+            id = next;
+        }
+        id
     }
 
     /// Periodic checkpoint snapshot: record every live task's step count
@@ -1068,7 +1034,7 @@ impl JobRuntime {
                 HealthState::Healthy => false,
             };
             if evict && self.ckpt_interval.is_some() && !self.stops_issued && !self.training_done {
-                self.migrate_lost_tasks(now, tr.worker, rpc, s);
+                self.respawn_lost(now, tr.worker, RecoveryKind::Migration, rpc, s);
             }
         }
         let ev = self.ev(Ev::HealthCheck);
@@ -1137,55 +1103,28 @@ impl JobRuntime {
             if (st as f64) >= cut || self.hedges.contains_key(&id) {
                 continue;
             }
-            let Some((sub, profile, root)) = self.restore_subs.get(&id).cloned() else {
-                continue; // not rebuildable (no submission source)
-            };
-            let Some(target) = self.hedge_target(profile.gpu_mem, wi, now) else {
+            let source = self.placed[&id].1.clone();
+            let mem = source.profile.gpu_mem;
+            // The fastest healthy host, then the least loaded, then the
+            // lower index: the deterministic tie-break hedge races
+            // resolve by.
+            let fastest = self.hosts(mem, wi, now).min_by(|&a, &b| {
+                let speed = |w: usize| self.devices[w].compute_speed();
+                let load = |w: usize| self.manager.worker(w).task_count();
+                speed(b).total_cmp(&speed(a)).then(load(a).cmp(&load(b)))
+            });
+            let Some(target) = fastest else {
                 continue; // no healthy worker to speculate on
             };
             let dup = TaskId(RESTORE_ID_BASE | self.next_restore_id);
             self.next_restore_id += 1;
-            let cmd = self.manager.admit_to(dup, profile.gpu_mem, target);
-            // The duplicate reruns the same workload (same derived seed)
-            // from step zero — speculation, not checkpoint resumption.
-            let task = SideTask::new(
-                dup,
-                sub.tag().clone(),
-                profile,
-                self.interface,
-                sub.build_workload(self.cfg.seed ^ root.0),
-                now,
-            )
-            .with_misbehavior(sub.misbehavior());
-            self.pending_create.insert(dup, task);
-            self.placements
-                .push((dup, target, sub.tag().clone(), profile));
-            self.restore_subs.insert(dup, (sub, profile, root));
+            let cmd = self.manager.admit_to(dup, mem, target);
+            // The duplicate reruns the same workload (same root seed) from
+            // step zero: speculation, not checkpoint resumption.
+            self.spawn(now, dup, target, source, 0);
             self.hedges.insert(id, (dup, now));
             self.send(now, Msg::Cmd(cmd), rpc, s);
         }
-    }
-
-    /// The fastest healthy worker (excluding the laggard's own) whose
-    /// bubble memory fits `needed`. Ties break toward fewer queued tasks,
-    /// then the lower index — the deterministic tie-break hedge races
-    /// resolve by.
-    fn hedge_target(&self, needed: MemBytes, exclude: usize, now: SimTime) -> Option<usize> {
-        let mut best: Option<(f64, usize, usize)> = None; // (speed, tasks, worker)
-        for w in 0..self.workers.len() {
-            if w == exclude || self.worker_down(now, w) || self.drained(w) {
-                continue;
-            }
-            if self.manager.worker(w).gpu_mem <= needed {
-                continue;
-            }
-            let speed = self.devices[w].compute_speed();
-            let n = self.manager.worker(w).task_count();
-            if best.is_none_or(|(bs, bn, _)| speed > bs || (speed == bs && n < bn)) {
-                best = Some((speed, n, w));
-            }
-        }
-        best.map(|(_, _, w)| w)
     }
 
     /// Settles every open hedge race at shutdown: the incarnation with
@@ -1198,23 +1137,12 @@ impl JobRuntime {
             return;
         }
         self.catch_up_all(now);
-        let worker_of: BTreeMap<TaskId, usize> = self
-            .placements
-            .iter()
-            .map(|(id, w, _, _)| (*id, *w))
-            .collect();
-        let chase = |mut cur: TaskId| {
-            while let Some(&next) = self.restored.get(&cur) {
-                cur = next;
-            }
-            cur
-        };
         let hedges = std::mem::take(&mut self.hedges);
         for (&orig, &(dup, launched)) in &hedges {
-            let o_cur = chase(orig);
-            let d_cur = chase(dup);
-            let o_w = worker_of[&o_cur];
-            let d_w = worker_of[&d_cur];
+            let o_cur = self.tail(orig);
+            let d_cur = self.tail(dup);
+            let o_w = self.placed[&o_cur].0;
+            let d_w = self.placed[&d_cur].0;
             let live_steps =
                 |cur: TaskId, w: usize| self.workers[w].task(cur).map(|t| t.steps).unwrap_or(0);
             let o_steps = live_steps(o_cur, o_w);
@@ -1460,6 +1388,102 @@ impl JobRuntime {
             }
         }
     }
+
+    /// This job's report once the run drained. Every charged step is
+    /// computed first, on every task (restore predecessors and hedge
+    /// losers too), so each workload ends having run exactly its charged
+    /// steps. A restored task is summarised once, from the tail of its
+    /// restore chain, under the id its submitter knows, and each accepted
+    /// submission's handle resolves to its summary.
+    fn report(mut self, accepted: &[AcceptedSubmission]) -> DeploymentReport {
+        assert!(self.engine.is_done(), "training must complete");
+        assert!(self.finished(), "all tasks must stop");
+        for w in &mut self.workers {
+            w.settle();
+        }
+        let restore_ids: BTreeSet<TaskId> = self.restored.values().copied().collect();
+        let mut tasks = Vec::new();
+        for &id in &self.order {
+            if restore_ids.contains(&id) {
+                continue; // summarised under its original id
+            }
+            let (worker, source) = &self.placed[&id];
+            let tail = self.tail(id);
+            let tail_worker = self.placed[&tail].0;
+            let kind = source.submission.tag().clone();
+            let profile = source.profile;
+            tasks.push(match self.workers[tail_worker].task(tail) {
+                Some(t) => TaskSummary {
+                    id,
+                    kind,
+                    worker: tail_worker,
+                    steps: t.steps,
+                    final_state: t.state(),
+                    stop_reason: t.stop_reason,
+                    last_value: t.last_value,
+                    profile,
+                },
+                // Placed, but training ended before the Create RPC
+                // landed (online arrival racing the shutdown, or a task
+                // lost to a crash and never restored): never
+                // materialised.
+                None => TaskSummary {
+                    id,
+                    kind,
+                    worker: *worker,
+                    steps: 0,
+                    final_state: SideTaskState::Submitted,
+                    stop_reason: StopReason::NotStopped,
+                    last_value: None,
+                    profile,
+                },
+            });
+        }
+        // Ids count up in submission order, so `accepted` is sorted by id.
+        for t in &tasks {
+            if let Ok(i) = accepted.binary_search_by_key(&t.id, |acc| acc.id) {
+                let _ = accepted[i].outcome.set(t.clone());
+            }
+        }
+
+        let mut breakdown = BubbleBreakdown {
+            total: self.bubble_total,
+            unused_oom: self.bubble_unused,
+            ..BubbleBreakdown::default()
+        };
+        for w in &self.workers {
+            let acc = w.accounting();
+            breakdown.running += acc.running;
+            breakdown.insufficient += acc.insufficient;
+        }
+        let mut health = self
+            .supervisor
+            .map(Supervisor::into_report)
+            .unwrap_or_default();
+        for &(_, _, dup_won) in &self.hedge_outcome {
+            if dup_won {
+                health.hedge_wins += 1;
+            } else {
+                health.hedge_losses += 1;
+            }
+        }
+
+        DeploymentReport {
+            mode: self.cfg.mode,
+            total_time: self.engine.total_time(),
+            epoch_times: self.engine.epoch_times().to_vec(),
+            tasks,
+            rejected: self.late_rejected,
+            breakdown,
+            trace: self.trace,
+            bubbles_reported: self.bubbles_reported,
+            events_processed: self.events_processed,
+            recoveries: self.recoveries,
+            health,
+            baseline_time: None,
+            cost: None,
+        }
+    }
 }
 
 /// One RPC message's one-way latency: `base` scaled by a seeded jitter
@@ -1561,39 +1585,16 @@ impl World for ClusterWorld {
     }
 }
 
-/// Raw results of one orchestrated job, assembled by [`Cluster::run`] into
-/// a [`DeploymentReport`].
-pub(crate) struct ExecutionOutput {
-    pub(crate) total_time: SimDuration,
-    pub(crate) epoch_times: Vec<SimDuration>,
-    pub(crate) tasks: Vec<TaskSummary>,
-    pub(crate) breakdown: BubbleBreakdown,
-    pub(crate) trace: TraceRecorder,
-    pub(crate) bubbles_reported: u64,
-    pub(crate) late_rejected: Vec<(TaskId, SubmitError)>,
-    pub(crate) events_processed: u64,
-    pub(crate) recoveries: Vec<Recovery>,
-    pub(crate) health: HealthReport,
-}
-
-/// One job of a cluster execution: its pipeline, middleware config, the
-/// submissions already admitted to it, and its chaos schedule.
-pub(crate) struct JobExecSpec<'a> {
-    pub(crate) pipeline: &'a PipelineConfig,
-    pub(crate) cfg: &'a FreeRideConfig,
-    pub(crate) accepted: &'a [AcceptedSubmission],
-    pub(crate) faults: &'a FaultPlan,
-    pub(crate) checkpoint: Option<SimDuration>,
-    pub(crate) supervise: Option<&'a SupervisorConfig>,
-}
-
 /// Runs N pipeline-training jobs co-located with their accepted
-/// submissions in **one** deterministic simulation, to completion.
+/// submissions in **one** deterministic simulation, to completion, and
+/// reports each job: its accepted submissions' handles resolved, its
+/// in-run rejections kept whole, and its cost fields left for
+/// [`Cluster::run`].
 ///
 /// `rpc_seed` seeds the shared RPC latency stream. The cluster defaults
 /// it to job 0's seed, which makes a one-job execution's stream identical
 /// to the pre-cluster orchestrator's. `policy` is consulted
-/// during online admission so resilience middleware (circuit breakers)
+/// during admission so resilience middleware (circuit breakers)
 /// can observe failures and mask workers mid-run; the hooks it uses are
 /// no-op defaults on plain policies, so they never perturb the event
 /// stream.
@@ -1604,21 +1605,20 @@ pub(crate) struct JobExecSpec<'a> {
 /// neither schedules events — armed runs replay the untraced event
 /// stream exactly.
 pub(crate) fn execute_cluster(
-    jobs: &[JobExecSpec<'_>],
+    jobs: &[JobSlot],
     rpc_seed: u64,
     policy: Arc<dyn PlacementPolicy>,
     tracer: Option<TraceHandle>,
     profile: bool,
-) -> (Vec<ExecutionOutput>, Option<ProfileReport>) {
+) -> (Vec<DeploymentReport>, Option<ProfileReport>) {
     assert!(!jobs.is_empty(), "cluster needs at least one job");
 
     let mut runtimes: Vec<JobRuntime> = Vec::with_capacity(jobs.len());
-    let mut initial_cmds_per_job: Vec<Vec<ManagerCmd>> = Vec::with_capacity(jobs.len());
-    let mut arrival_times_per_job: Vec<Vec<SimTime>> = Vec::with_capacity(jobs.len());
+    let mut creates_per_job: Vec<Vec<ManagerCmd>> = Vec::with_capacity(jobs.len());
 
-    for (j, spec) in jobs.iter().enumerate() {
-        let pipeline_cfg = spec.pipeline;
-        let fr_cfg = spec.cfg;
+    for (j, slot) in jobs.iter().enumerate() {
+        let pipeline_cfg = &slot.pipeline;
+        let fr_cfg = &slot.cfg;
 
         // Devices built from each stage's hardware spec, under the
         // sharing regime the mode implies. The homogeneous default spec
@@ -1627,7 +1627,7 @@ pub(crate) fn execute_cluster(
             ColocationMode::Naive => SharingKind::TimeSliced,
             _ => SharingKind::Prioritized,
         };
-        let devices: Vec<GpuDevice> = (0..pipeline_cfg.stages)
+        let mut devices: Vec<GpuDevice> = (0..pipeline_cfg.stages)
             .map(|i| {
                 pipeline_cfg
                     .hardware_of(i)
@@ -1641,11 +1641,11 @@ pub(crate) fn execute_cluster(
         };
         let mut engine = PipelineEngine::new(pipeline_cfg.clone(), fr_cfg.schedule)
             .with_instrumentation_overhead(instr);
+        engine.init(&mut devices);
 
         let worker_mem: Vec<_> = (0..pipeline_cfg.stages)
             .map(|st| pipeline_cfg.stage_free_memory(st))
             .collect();
-        let mut manager = SideTaskManager::new(worker_mem);
 
         let interface = match fr_cfg.mode {
             ColocationMode::FreeRide(i) => i,
@@ -1653,87 +1653,9 @@ pub(crate) fn execute_cluster(
             _ => InterfaceKind::Imperative,
         };
 
-        // Build and place the up-front submissions; queue the online ones
-        // for their arrival events.
-        let mut pending_create = BTreeMap::new();
-        let mut late_rejected = Vec::new();
-        let mut placements: Vec<(TaskId, usize, WorkloadTag, WorkloadProfile)> = Vec::new();
-        let mut initial_cmds = Vec::new();
-        let mut arrivals: Vec<Option<ArrivalSlot>> = Vec::new();
-        let mut arrival_times: Vec<SimTime> = Vec::new();
-        for acc in spec.accepted {
-            let id = acc.id;
-            let sub = &acc.submission;
-            if sub.arrival() == SimTime::ZERO {
-                let placed = match acc.pinned {
-                    Some(w) => manager.submit_to(id, acc.profile.gpu_mem, w),
-                    None => manager.submit(id, acc.profile.gpu_mem),
-                };
-                match placed {
-                    Ok((w, cmd)) => {
-                        let task = SideTask::new(
-                            id,
-                            sub.tag().clone(),
-                            acc.profile,
-                            interface,
-                            sub.build_workload(fr_cfg.seed ^ id.0),
-                            SimTime::ZERO,
-                        )
-                        .with_misbehavior(sub.misbehavior());
-                        pending_create.insert(id, task);
-                        if let Some(t) = &tracer {
-                            t.emit(TraceEvent {
-                                at: SimTime::ZERO,
-                                job: Some(j),
-                                worker: Some(w),
-                                kind: TraceEventKind::TaskAdmitted {
-                                    task: id.0,
-                                    name: sub.tag().name().to_string(),
-                                },
-                            });
-                        }
-                        placements.push((id, w, sub.tag().clone(), acc.profile));
-                        initial_cmds.push(cmd);
-                    }
-                    Err(e) => late_rejected.push((id, e)),
-                }
-            } else {
-                arrival_times.push(sub.arrival());
-                arrivals.push(Some(ArrivalSlot {
-                    id,
-                    tag: sub.tag().clone(),
-                    profile: acc.profile,
-                    misbehavior: sub.misbehavior(),
-                    pinned: acc.pinned,
-                    retry: acc.retry,
-                    attempt: 0,
-                    workload: sub.build_workload(fr_cfg.seed ^ id.0),
-                }));
-            }
-        }
-
-        // Under checkpoint/restart or supervision, keep every submission's
-        // source so a task lost to a daemon crash can be rebuilt (same
-        // workload seed, resumed step count) and a straggler can be
-        // speculatively duplicated.
-        let restore_subs: BTreeMap<TaskId, (Submission, WorkloadProfile, TaskId)> =
-            if spec.checkpoint.is_some() || spec.supervise.is_some() {
-                spec.accepted
-                    .iter()
-                    .map(|acc| (acc.id, (acc.submission.clone(), acc.profile, acc.id)))
-                    .collect()
-            } else {
-                BTreeMap::new()
-            };
-
-        let mut world_devices = devices;
-        engine.init(&mut world_devices);
-
-        let mem_series: Vec<String> = (0..world_devices.len())
-            .map(|g| format!("gpu{g}.mem"))
-            .collect();
+        let mem_series: Vec<String> = (0..devices.len()).map(|g| format!("gpu{g}.mem")).collect();
         let mut trace = TraceRecorder::new();
-        for (d, name) in world_devices.iter().zip(&mem_series) {
+        for (d, name) in devices.iter().zip(&mem_series) {
             trace.record(name, SimTime::ZERO, d.used_mem().as_gib_f64());
         }
 
@@ -1747,37 +1669,38 @@ pub(crate) fn execute_cluster(
             })
             .collect();
 
-        runtimes.push(JobRuntime {
+        let mut rt = JobRuntime {
             job: j,
             workers,
             tick_ids: vec![None; pipeline_cfg.stages],
-            faults: spec.faults.events().to_vec(),
+            faults: slot.faults.events().to_vec(),
             down_until: vec![None; pipeline_cfg.stages],
-            base_speeds: world_devices.iter().map(|d| d.compute_speed()).collect(),
+            base_speeds: devices.iter().map(|d| d.compute_speed()).collect(),
             oom_until: None,
             open_faults: Vec::new(),
-            ckpt_interval: spec.checkpoint,
+            ckpt_interval: slot.checkpoint,
             ckpt_steps: BTreeMap::new(),
             lost: Vec::new(),
             restored: BTreeMap::new(),
-            restore_subs,
             next_restore_id: 0,
             recoveries: Vec::new(),
             first_failure: BTreeMap::new(),
-            supervisor: spec
+            supervisor: slot
                 .supervise
+                .as_ref()
                 .map(|cfg| Supervisor::new(pipeline_cfg.stages, cfg)),
             hedges: BTreeMap::new(),
             hedge_cancel: BTreeSet::new(),
             hedge_outcome: Vec::new(),
-            devices: world_devices,
+            devices,
             engine,
-            manager,
-            pending_create,
+            manager: SideTaskManager::new(worker_mem),
+            pending_create: BTreeMap::new(),
             pid_index: BTreeMap::new(),
-            placements,
-            arrivals,
-            late_rejected,
+            placed: BTreeMap::new(),
+            order: Vec::new(),
+            arrivals: Vec::new(),
+            late_rejected: Vec::new(),
             stop_sent: BTreeSet::new(),
             trace,
             mem_series,
@@ -1791,9 +1714,45 @@ pub(crate) fn execute_cluster(
             interface,
             cfg: fr_cfg.clone(),
             tracer: tracer.clone(),
-        });
-        initial_cmds_per_job.push(initial_cmds);
-        arrival_times_per_job.push(arrival_times);
+        };
+
+        // Admit and spawn the up-front submissions; queue the online ones
+        // for their arrival events.
+        let mut creates = Vec::new();
+        for acc in &slot.accepted {
+            let source = Source {
+                submission: acc.submission.clone(),
+                profile: acc.profile,
+                root: acc.id,
+            };
+            if acc.submission.arrival() > SimTime::ZERO {
+                rt.arrivals.push(Some(ArrivalSlot {
+                    id: acc.id,
+                    source,
+                    pinned: acc.pinned,
+                    retry: acc.retry,
+                    attempt: 0,
+                }));
+                continue;
+            }
+            let mem = acc.profile.gpu_mem;
+            match rt.admit(SimTime::ZERO, acc.id, mem, acc.pinned, policy.as_ref()) {
+                Ok((w, cmd)) => {
+                    rt.emit_with(SimTime::ZERO, Some(w), || TraceEventKind::TaskAdmitted {
+                        task: acc.id.0,
+                        name: acc.submission.tag().name().to_string(),
+                    });
+                    rt.spawn(SimTime::ZERO, acc.id, w, source, 0);
+                    creates.push(cmd);
+                }
+                Err(error) => rt.late_rejected.push(RejectedSubmission {
+                    submission: source.submission,
+                    error,
+                }),
+            }
+        }
+        runtimes.push(rt);
+        creates_per_job.push(creates);
     }
 
     let world = ClusterWorld {
@@ -1807,7 +1766,7 @@ pub(crate) fn execute_cluster(
     // Seed every job, in job order; within a job the seeding order is the
     // pre-cluster one (training, create RPCs, arrivals), so a one-job
     // cluster replays the exact historical event sequence.
-    for (j, initial_cmds) in initial_cmds_per_job.into_iter().enumerate() {
+    for (j, creates) in creates_per_job.into_iter().enumerate() {
         // Seed training.
         let start_actions = sim.world_mut().jobs[j].engine.start(SimTime::ZERO);
         for a in start_actions {
@@ -1834,7 +1793,7 @@ pub(crate) fn execute_cluster(
             }
         }
         // Seed task creation RPCs for up-front submissions.
-        for cmd in initial_cmds {
+        for cmd in creates {
             let msg = Msg::Cmd(cmd);
             let w = sim.world_mut();
             let at = SimTime::ZERO + w.jobs[j].latency(&msg, &mut w.rpc);
@@ -1846,10 +1805,15 @@ pub(crate) fn execute_cluster(
                 },
             );
         }
-        // Seed online arrivals.
-        for (idx, at) in arrival_times_per_job[j].iter().enumerate() {
+        // Seed online arrivals, in the order `arrivals` holds them.
+        let arrivals = jobs[j]
+            .accepted
+            .iter()
+            .map(|acc| acc.submission.arrival())
+            .filter(|&at| at > SimTime::ZERO);
+        for (idx, at) in arrivals.enumerate() {
             sim.seed_at(
-                *at,
+                at,
                 ClusterEv {
                     job: j,
                     ev: Ev::Arrival(idx),
@@ -1862,8 +1826,8 @@ pub(crate) fn execute_cluster(
     // extra seeds append to the event-id sequence, so a job with an empty
     // fault plan and no checkpointing replays the exact fault-free event
     // stream byte for byte.
-    for (j, spec) in jobs.iter().enumerate() {
-        for (i, f) in spec.faults.events().iter().enumerate() {
+    for (j, slot) in jobs.iter().enumerate() {
+        for (i, f) in slot.faults.events().iter().enumerate() {
             sim.seed_at(
                 f.at,
                 ClusterEv {
@@ -1888,7 +1852,7 @@ pub(crate) fn execute_cluster(
                 );
             }
         }
-        if spec.checkpoint.is_some() {
+        if slot.checkpoint.is_some() {
             sim.seed(ClusterEv {
                 job: j,
                 ev: Ev::Checkpoint,
@@ -1899,12 +1863,12 @@ pub(crate) fn execute_cluster(
     // Supervisor seeds come after even the chaos schedule, so arming the
     // health subsystem never perturbs the event-id sequence of the other
     // configurations.
-    for (j, spec) in jobs.iter().enumerate() {
-        let Some(cfg) = spec.supervise else {
+    for (j, slot) in jobs.iter().enumerate() {
+        let Some(cfg) = &slot.supervise else {
             continue;
         };
         let first = SimTime::ZERO + HEARTBEAT_INTERVAL;
-        for w in 0..spec.pipeline.stages {
+        for w in 0..slot.pipeline.stages {
             sim.seed_at(
                 first,
                 ClusterEv {
@@ -1936,104 +1900,13 @@ pub(crate) fn execute_cluster(
     let world = sim.into_world();
     let profile_report = world.profile.map(|c| c.report());
 
-    let outputs = world
+    let reports = world
         .jobs
         .into_iter()
-        .map(|mut job| {
-            assert!(job.engine.is_done(), "training must complete");
-            assert!(job.finished(), "all tasks must stop");
-            // Compute every charged step before anything reads a value, on
-            // every task: restore predecessors and hedge losers too, so
-            // each workload ends having run exactly its charged steps.
-            for w in &mut job.workers {
-                w.settle();
-            }
-
-            // Gather results. Restored incarnations fold into their
-            // original submission: one summary per submitted task, read
-            // from the tail of its restore chain, reported under the id
-            // the submitter knows.
-            let restore_ids: BTreeSet<TaskId> = job.restored.values().copied().collect();
-            let worker_of: BTreeMap<TaskId, usize> = job
-                .placements
-                .iter()
-                .map(|(id, w, _, _)| (*id, *w))
-                .collect();
-            let mut tasks = Vec::new();
-            for (id, wi, tag, profile) in &job.placements {
-                if restore_ids.contains(id) {
-                    continue; // summarised under its original id
-                }
-                let mut cur = *id;
-                while let Some(&next) = job.restored.get(&cur) {
-                    cur = next; // supervised migration may move the chain
-                }
-                let tail_worker = worker_of.get(&cur).copied().unwrap_or(*wi);
-                match job.workers[tail_worker].task(cur) {
-                    Some(t) => tasks.push(TaskSummary {
-                        id: *id,
-                        kind: tag.clone(),
-                        worker: tail_worker,
-                        steps: t.steps,
-                        final_state: t.state(),
-                        stop_reason: t.stop_reason,
-                        last_value: t.last_value,
-                        profile: *profile,
-                    }),
-                    // Placed, but training ended before the Create RPC
-                    // landed (online arrival racing the shutdown, or a
-                    // task lost to a crash and never restored): never
-                    // materialised.
-                    None => tasks.push(TaskSummary {
-                        id: *id,
-                        kind: tag.clone(),
-                        worker: *wi,
-                        steps: 0,
-                        final_state: SideTaskState::Submitted,
-                        stop_reason: StopReason::NotStopped,
-                        last_value: None,
-                        profile: *profile,
-                    }),
-                }
-            }
-            let mut breakdown = BubbleBreakdown {
-                total: job.bubble_total,
-                unused_oom: job.bubble_unused,
-                ..BubbleBreakdown::default()
-            };
-            for w in &job.workers {
-                let acc = w.accounting();
-                breakdown.running += acc.running;
-                breakdown.insufficient += acc.insufficient;
-            }
-
-            let mut health = job
-                .supervisor
-                .map(Supervisor::into_report)
-                .unwrap_or_default();
-            for &(_, _, dup_won) in &job.hedge_outcome {
-                if dup_won {
-                    health.hedge_wins += 1;
-                } else {
-                    health.hedge_losses += 1;
-                }
-            }
-
-            ExecutionOutput {
-                total_time: job.engine.total_time(),
-                epoch_times: job.engine.epoch_times().to_vec(),
-                tasks,
-                breakdown,
-                trace: job.trace,
-                bubbles_reported: job.bubbles_reported,
-                late_rejected: job.late_rejected,
-                events_processed: job.events_processed,
-                recoveries: job.recoveries,
-                health,
-            }
-        })
+        .zip(jobs)
+        .map(|(job, slot)| job.report(&slot.accepted))
         .collect();
-    (outputs, profile_report)
+    (reports, profile_report)
 }
 
 /// Batch helper: runs pipeline training co-located with the submitted

@@ -1,9 +1,11 @@
 //! End-to-end health-subsystem tests: the chaos layer's fault trace
 //! replayed with a supervisor armed, asserting that detection runs on
 //! schedule, supervised migrations are attributed distinctly from
-//! rejoin restores, and hedge races cancel their losers.
+//! rejoin restores, and hedge races cancel their losers; and where a
+//! migrated task and a hedge duplicate land.
 
 use freeride::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The worker the trace crashes at 4.0s (down 1s) and 5.2s (down 3s).
 const FLAPPING: usize = 1;
@@ -144,4 +146,122 @@ fn supervision_out_harvests_the_reactive_baseline() {
     let again = run_cell(Some(SupervisorConfig::new().hedge(0.5)));
     assert_eq!(supervised.health, again.health);
     assert_eq!(supervised.total_steps(), again.total_steps());
+}
+
+/// Pins the i-th submission to worker `workers[i]` of job 0.
+struct PinInOrder {
+    workers: Vec<usize>,
+    next: AtomicUsize,
+}
+
+impl PlacementPolicy for PinInOrder {
+    fn name(&self) -> &'static str {
+        "pin-in-order"
+    }
+
+    fn place(&self, _needed: MemBytes, _view: &ClusterView) -> Option<Placement> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        Some(Placement::Worker {
+            job: 0,
+            worker: self.workers[i],
+        })
+    }
+}
+
+/// A task migrated off a failing worker lands on the least-loaded healthy
+/// host, ties toward the lower index. Algorithm 1 puts one task on worker
+/// 0 and one on worker 1; when worker 1 crashes, workers 2 and 3 tie with
+/// no task each, and the migrated task must land on worker 2.
+#[test]
+fn a_migration_breaks_a_load_tie_toward_the_lower_index() {
+    let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(EPOCHS);
+    let crash = FaultPlan::new().crash_worker(
+        SimTime::from_millis(4_000),
+        FLAPPING,
+        SimDuration::from_secs(3),
+    );
+    let job = ClusterJob::new(pipeline)
+        .seed(SEED)
+        .faults(crash)
+        .checkpoint(SimDuration::from_secs(1))
+        .supervise(SupervisorConfig::new());
+    let mut cluster = Cluster::builder().job(job).cost_report(false).build();
+    let handles: Vec<ClusterTaskHandle> = (0..2)
+        .map(|_| {
+            cluster
+                .submit_with(
+                    Submission::new(WorkloadKind::PageRank),
+                    SubmitOptions::new(),
+                )
+                .expect("fits")
+        })
+        .collect();
+    let report = cluster.run();
+    let moved = &handles[1];
+    assert_eq!(handles[0].worker(), Some(0));
+    assert!(
+        report.jobs[0]
+            .recoveries
+            .iter()
+            .any(|r| r.task == moved.id() && r.kind == RecoveryKind::Migration),
+        "worker 1's task is migrated, not restored on the rejoin"
+    );
+    assert_eq!(moved.worker(), Some(2));
+}
+
+/// A hedge duplicate lands on the fastest healthy host, even one that
+/// carries more tasks. Tasks run on workers 0, 2 and 3; worker 2
+/// straggles at a quarter speed and the H100 on worker 3 outpaces the
+/// rest, so laggards get hedged. Every duplicate must land on worker 3,
+/// which carries a task, and none on worker 1, which carries none.
+#[test]
+fn a_hedge_prefers_the_fastest_host_over_the_least_loaded() {
+    let reference = HardwareSpec::rtx6000ada_48g();
+    let pipeline = PipelineConfig::paper_default(ModelSpec::nanogpt_3_6b()).with_epochs(EPOCHS);
+    let slow = FaultPlan::new().straggler(
+        SimTime::from_millis(1_000),
+        2,
+        0.25,
+        SimDuration::from_secs(6),
+    );
+    let job = ClusterJob::new(pipeline)
+        .seed(SEED)
+        .hardware(vec![
+            reference.clone(),
+            reference.clone(),
+            reference,
+            HardwareSpec::h100_80g(),
+        ])
+        .faults(slow)
+        .supervise(SupervisorConfig::new().hedge(0.5));
+    let mut cluster = Cluster::builder()
+        .job(job)
+        .policy(PinInOrder {
+            workers: vec![0, 2, 3],
+            next: AtomicUsize::new(0),
+        })
+        .cost_report(false)
+        .build();
+    let submitted: Vec<TaskId> = (0..3)
+        .map(|_| {
+            cluster
+                .submit_with(
+                    Submission::new(WorkloadKind::PageRank),
+                    SubmitOptions::new(),
+                )
+                .expect("fits")
+                .id()
+        })
+        .collect();
+    let report = cluster.run();
+    let duplicates: Vec<&TaskSummary> = report.jobs[0]
+        .tasks
+        .iter()
+        .filter(|t| !submitted.contains(&t.id))
+        .collect();
+    assert!(!duplicates.is_empty(), "a laggard is hedged");
+    assert!(
+        duplicates.iter().all(|t| t.worker == 3),
+        "every duplicate lands on the H100: {duplicates:?}"
+    );
 }

@@ -48,6 +48,53 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box((acc, q.len()))
         })
     });
+    // The hold model (pop the head, push it again a delay later) with
+    // `sim_core`'s shape: 26 pending events, its mean, each carrying 48
+    // bytes like the cluster's event, and delays that land near the head:
+    // 60% within 1 µs, the rest within 60 µs. About 61% of pushes then
+    // land within 4 keys of the head (`sim_core`: 55%).
+    c.bench_function(
+        "sim/event_queue hold 26 pending, near-head delays x1000",
+        |b| {
+            let mut rng = DetRng::seed_from_u64(7);
+            let delays: Vec<SimDuration> = (0..1000)
+                .map(|_| {
+                    let span = if rng.gen_bool(0.6) { 1_000 } else { 60_000 };
+                    SimDuration::from_nanos(rng.gen_range_u64(0, span))
+                })
+                .collect();
+            b.iter(|| {
+                let mut q = EventQueue::new();
+                for i in 0..26u64 {
+                    q.push(SimTime::from_nanos(i * 2_300), [i; 6]);
+                }
+                let mut acc = 0u64;
+                for &d in &delays {
+                    if let Some((t, v)) = q.pop() {
+                        acc = acc.wrapping_add(v[0]);
+                        q.push(t + d, v);
+                    }
+                }
+                black_box(acc)
+            })
+        },
+    );
+    // An arrival trace seeded at t = 0: every key is due after all earlier
+    // ones, the worst case for a sorted run (each push would shift them
+    // all), then drained.
+    c.bench_function("sim/event_queue seed 20,000 ascending + drain", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for i in 0..20_000u64 {
+                q.push(SimTime::from_nanos(i * 1_000), i);
+            }
+            let mut acc = 0u64;
+            while let Some((_, v)) = q.pop() {
+                acc = acc.wrapping_add(v);
+            }
+            black_box(acc)
+        })
+    });
 }
 
 fn bench_device(c: &mut Criterion) {

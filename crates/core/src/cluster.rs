@@ -38,7 +38,7 @@ use crate::fault::{FaultPlan, SubmitOptions};
 use crate::health::{HealthReport, HealthState, SupervisorConfig};
 use crate::manager::SubmitError;
 use crate::metrics::evaluate;
-use crate::orchestrator::{execute_cluster, TaskSummary};
+use crate::orchestrator::{execute_cluster, run_baseline_with, TaskSummary};
 use crate::service::{ServiceChain, ServiceReport, SubmitMiddleware};
 use crate::state::SideTaskState;
 use crate::task::{StopReason, TaskId};
@@ -46,7 +46,7 @@ use freeride_gpu::{HardwareSpec, MemBytes};
 use freeride_obs::{
     ProfileReport, TraceEvent, TraceEventKind, TraceHandle, TraceSink, TraceSummary,
 };
-use freeride_pipeline::{run_training, PipelineConfig, ScheduleKind};
+use freeride_pipeline::{PipelineConfig, ScheduleKind};
 use freeride_sim::{SimDuration, SimTime};
 use freeride_tasks::WorkloadTag;
 use std::collections::BTreeMap;
@@ -1083,6 +1083,13 @@ impl Cluster {
     /// Runs every job to completion — all in one deterministic simulation
     /// — and reports per-job outcomes plus cluster-level aggregates.
     ///
+    /// With the cost report on, each job's `T_noSideTask` is
+    /// [`run_baseline_with`]: one epoch trained alone, times the job's
+    /// epochs. That equals a full no-side-task run because, with no side
+    /// task, every epoch is a time-shifted copy of the first (the barrier
+    /// resets the engine's per-epoch state, every device is idle there,
+    /// and the device model reads only time differences).
+    ///
     /// # Panics
     ///
     /// Panics if any job's configuration fails [`FreeRideConfig::validate`].
@@ -1100,7 +1107,7 @@ impl Cluster {
         );
         if self.cost_report {
             for (report, slot) in jobs.iter_mut().zip(&self.jobs) {
-                let baseline = run_training(&slot.pipeline, slot.cfg.schedule).total_time;
+                let baseline = run_baseline_with(&slot.pipeline, slot.cfg.schedule);
                 report.baseline_time = Some(baseline);
                 report.cost = Some(evaluate(baseline, report.total_time, &report.work()));
             }

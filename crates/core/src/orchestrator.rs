@@ -1950,12 +1950,27 @@ pub fn run_baseline(pipeline_cfg: &PipelineConfig) -> SimDuration {
     run_baseline_with(pipeline_cfg, freeride_pipeline::ScheduleKind::OneFOneB)
 }
 
-/// Baseline under an explicit schedule (the GPipe ablation).
+/// Baseline under an explicit schedule (the GPipe ablation): the one
+/// definition of `T_noSideTask` (§6.1.5), which the cost report of
+/// [`Cluster::run`] uses too.
+///
+/// It trains one epoch and multiplies. With no side task every epoch of
+/// [`freeride_pipeline::run_training`] is a time-shifted copy of the
+/// first, so `epochs × one epoch` equals the full run's `total_time` to
+/// the nanosecond:
+/// - the epoch barrier resets the engine's per-epoch state, and no epoch
+///   is stretched (the baseline charges no instrumentation overhead);
+/// - every device is idle at the barrier;
+/// - the device model's arithmetic reads only time differences.
+///
+/// `tests/proptests.rs` `baseline_is_epochs_times_one_epoch` checks the
+/// equality over the model presets, schedules, fleets and epoch counts.
 pub fn run_baseline_with(
     pipeline_cfg: &PipelineConfig,
     schedule: freeride_pipeline::ScheduleKind,
 ) -> SimDuration {
-    freeride_pipeline::run_training(pipeline_cfg, schedule).total_time
+    let one_epoch = pipeline_cfg.clone().with_epochs(1);
+    freeride_pipeline::run_training(&one_epoch, schedule).total_time * pipeline_cfg.epochs as u64
 }
 
 #[cfg(test)]

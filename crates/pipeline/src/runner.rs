@@ -1,9 +1,16 @@
 //! Standalone pipeline-training runner: trains with **no side tasks**.
 //!
-//! This is both the `T_noSideTask` baseline of the paper's metrics (§6.1.5)
-//! and the source of Figures 1 and 2: it executes the engine on simulated
-//! GPUs, records SM-occupancy and memory traces, and collects every bubble
-//! report.
+//! This is the source of Figures 1 and 2: it executes the engine on
+//! simulated GPUs, records SM-occupancy and memory traces, and collects
+//! every bubble report. It also underlies the `T_noSideTask` baseline of
+//! the paper's metrics (§6.1.5), which `freeride_core::run_baseline_with`
+//! takes from a one-epoch run times the epoch count. That relies on an
+//! invariant of this runner: every epoch is a time-shifted copy of the
+//! first, to the nanosecond. The epoch barrier resets the engine's
+//! per-epoch state, every device is idle at the barrier, no epoch is
+//! stretched (no instrumentation overhead is charged here), and the
+//! device model's arithmetic reads only time differences. A change that
+//! breaks it fails `tests/proptests.rs` `baseline_is_epochs_times_one_epoch`.
 
 use crate::bubble::{BubbleProfile, BubbleReport, BubbleStats};
 use crate::config::PipelineConfig;

@@ -159,18 +159,23 @@ impl<W: World> Simulation<W> {
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
             Some((time, event)) => {
-                debug_assert!(time >= self.now, "event queue yielded a past event");
-                self.now = time;
-                self.events_processed += 1;
-                let mut scheduler = Scheduler {
-                    now: self.now,
-                    queue: &mut self.queue,
-                };
-                self.world.handle(time, event, &mut scheduler);
+                self.deliver(time, event);
                 true
             }
             None => false,
         }
+    }
+
+    /// Advances the clock to `time` and hands `event` to the world.
+    fn deliver(&mut self, time: SimTime, event: W::Event) {
+        debug_assert!(time >= self.now, "event queue yielded a past event");
+        self.now = time;
+        self.events_processed += 1;
+        let mut scheduler = Scheduler {
+            now: time,
+            queue: &mut self.queue,
+        };
+        self.world.handle(time, event, &mut scheduler);
     }
 
     /// Runs until the queue drains, `deadline` is passed, or the event
@@ -178,25 +183,33 @@ impl<W: World> Simulation<W> {
     ///
     /// Events scheduled exactly at `deadline` are delivered; the first event
     /// strictly after it is left in the queue and the clock is advanced to
-    /// `deadline`.
+    /// `deadline`. Each delivered event looks up the queue's head once, in
+    /// a pop bounded by `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         let mut budget = self.event_budget;
         loop {
-            match self.queue.peek_time() {
-                None => return RunOutcome::Quiescent,
-                Some(t) if t > deadline => {
-                    self.now = deadline.max(self.now);
-                    return RunOutcome::DeadlineReached;
-                }
-                Some(_) => {
-                    if budget == 0 {
-                        return RunOutcome::BudgetExhausted;
-                    }
-                    budget -= 1;
-                    self.step();
-                }
+            if budget == 0 {
+                return match self.queue.peek_time() {
+                    Some(t) if t <= deadline => RunOutcome::BudgetExhausted,
+                    _ => self.stop_at(deadline),
+                };
             }
+            let Some((time, event)) = self.queue.pop_due(deadline) else {
+                return self.stop_at(deadline);
+            };
+            budget -= 1;
+            self.deliver(time, event);
         }
+    }
+
+    /// The outcome of a run with nothing due by `deadline`: quiescent if
+    /// the queue drained, else the clock moves up to `deadline`.
+    fn stop_at(&mut self, deadline: SimTime) -> RunOutcome {
+        if self.queue.is_empty() {
+            return RunOutcome::Quiescent;
+        }
+        self.now = deadline.max(self.now);
+        RunOutcome::DeadlineReached
     }
 
     /// Runs for `span` of virtual time from the current instant.
@@ -287,6 +300,47 @@ mod tests {
         let mut sim = Simulation::new(Runaway).with_event_budget(1_000);
         sim.seed(());
         assert_eq!(sim.run_to_quiescence(), RunOutcome::BudgetExhausted);
+    }
+
+    /// With the budget spent, the outcome still follows the head: an
+    /// empty queue is quiescent and a head after the deadline moves the
+    /// clock up to the deadline; only a due event reports exhaustion, and
+    /// it stays queued.
+    #[test]
+    fn a_spent_budget_reports_by_the_head() {
+        let mut sim = Simulation::new(Countdown { fired: vec![] }).with_event_budget(0);
+        assert_eq!(
+            sim.run_until(SimTime::from_millis(4)),
+            RunOutcome::Quiescent
+        );
+        assert_eq!(sim.now(), SimTime::ZERO);
+        sim.seed_at(SimTime::from_millis(10), Ev::Tick(0));
+        assert_eq!(
+            sim.run_until(SimTime::from_millis(4)),
+            RunOutcome::DeadlineReached
+        );
+        assert_eq!(sim.now(), SimTime::from_millis(4));
+        assert_eq!(
+            sim.run_until(SimTime::from_millis(10)),
+            RunOutcome::BudgetExhausted
+        );
+        assert_eq!(sim.now(), SimTime::from_millis(4));
+        assert_eq!(sim.pending_events(), 1);
+        assert!(sim.world().fired.is_empty());
+    }
+
+    /// A deadline before the clock leaves the clock where it is.
+    #[test]
+    fn a_deadline_in_the_past_keeps_the_clock() {
+        let mut sim = Simulation::new(Countdown { fired: vec![] });
+        sim.seed(Ev::Tick(100));
+        sim.run_until(SimTime::from_millis(7));
+        assert_eq!(
+            sim.run_until(SimTime::from_millis(3)),
+            RunOutcome::DeadlineReached
+        );
+        assert_eq!(sim.now(), SimTime::from_millis(7));
+        assert_eq!(sim.world().fired.len(), 8);
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl Series {
     ///
     /// Panics if `time` precedes the latest recorded sample.
     pub fn record(&mut self, time: SimTime, value: f64) {
-        if let Some(last) = self.samples.last() {
+        if let Some(last) = self.samples.last_mut() {
             assert!(
                 time >= last.time,
                 "trace samples must be time-ordered: {} after {}",
@@ -60,7 +60,7 @@ impl Series {
             // Collapse same-instant updates: the last write wins, matching
             // step-function semantics.
             if last.time == time {
-                self.samples.last_mut().expect("nonempty").value = value;
+                last.value = value;
                 return;
             }
             if (last.value - value).abs() < f64::EPSILON {

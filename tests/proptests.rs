@@ -1,26 +1,29 @@
 //! Property-based tests over the core data structures and invariants:
 //! schedules, the state machine, placement, memory accounting, the event
-//! queue, the side-task manager's polling on input only, whole-pipeline
-//! termination for arbitrary shapes, replay determinism under arbitrary
-//! fault traces, PageRank's cycle replay against a plain power iteration,
-//! and the NN matrix product against its reference summation order.
+//! queue against a reference model, the side-task manager's polling on
+//! input only, whole-pipeline termination for arbitrary shapes, the
+//! one-epoch `T_noSideTask` against a full run, replay determinism under
+//! arbitrary fault traces, PageRank's cycle replay against a plain power
+//! iteration, and the NN matrix product against its reference summation
+//! order.
 
 use freeride::core::{
-    next_state, run_colocation, AdmissionControl, BestFitMemory, Cluster, ClusterJob,
-    ClusterReport, DeadlineLayer, FastestFit, FaultPlan, FirstFit, FreeRideConfig, LeastLoaded,
-    ManagerCmd, MinTasksJob, Placement, PlacementPolicy, PriorityTag, RateLimit, RateLimitMode,
-    RetryPolicy, ServiceMetrics, SideTaskManager, SideTaskState, Submission, SubmitOptions,
-    SupervisorConfig, TaskId, TenantQuota, Transition, WorkerPolicy,
+    next_state, run_baseline_with, run_colocation, AdmissionControl, BestFitMemory, Cluster,
+    ClusterJob, ClusterReport, DeadlineLayer, FastestFit, FaultPlan, FirstFit, FreeRideConfig,
+    LeastLoaded, ManagerCmd, MinTasksJob, Placement, PlacementPolicy, PriorityTag, RateLimit,
+    RateLimitMode, RetryPolicy, ServiceMetrics, SideTaskManager, SideTaskState, Submission,
+    SubmitOptions, SupervisorConfig, TaskId, TenantQuota, Transition, WorkerPolicy,
 };
 use freeride::gpu::{HardwareSpec, MemBytes, MemoryPool};
 use freeride::obs::SimTracer;
 use freeride::pipeline::{
     run_training, BubbleKind, BubbleReport, ModelSpec, PipelineConfig, Schedule, ScheduleKind,
 };
-use freeride::sim::{DetRng, EventQueue, SimDuration, SimTime};
+use freeride::sim::{DetRng, EventId, EventQueue, SimDuration, SimTime};
 use freeride::tasks::{ArrivalProcess, TrafficClass, TrafficGen};
 use freeride::tasks::{CsrGraph, Matrix, PageRank, WorkloadKind};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 proptest! {
     #[test]
@@ -38,46 +41,34 @@ proptest! {
         }
     }
 
+    /// The exact delivery order: by time, ties in insertion order. A
+    /// quarter of the times spread over a millisecond, the rest come from
+    /// eight values, so ties are common and most keys of a long batch wait
+    /// in the overflow heap.
     #[test]
-    fn event_queue_pops_sorted(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
+    fn event_queue_pops_sorted(draws in prop::collection::vec((0u64..4, 0u64..1_000_000), 1..200)) {
+        let times: Vec<SimTime> = draws
+            .iter()
+            .map(|&(spread, t)| SimTime::from_nanos(if spread == 0 { t } else { t % 8 }))
+            .collect();
         let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.push(SimTime::from_nanos(*t), i);
+        for (i, &t) in times.iter().enumerate() {
+            q.push(t, i);
         }
-        let mut last = SimTime::ZERO;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
+        let mut expected: Vec<(SimTime, usize)> =
+            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        expected.sort();
+        let delivered: Vec<(SimTime, usize)> = std::iter::from_fn(|| q.pop()).collect();
+        prop_assert_eq!(delivered, expected);
     }
 
+    /// Random interleavings of every queue operation against a reference
+    /// model; see [`queue_matches_model`].
     #[test]
     fn event_queue_cancellation_preserves_others(
-        times in prop::collection::vec(0u64..100_000, 2..100),
-        cancel_idx in prop::collection::vec(any::<prop::sample::Index>(), 1..10),
+        ops in prop::collection::vec((0u8..20, any::<u64>()), 1..600),
     ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, t)| q.push(SimTime::from_nanos(*t), i))
-            .collect();
-        let mut cancelled = std::collections::BTreeSet::new();
-        for idx in cancel_idx {
-            let i = idx.index(ids.len());
-            if cancelled.insert(i) {
-                prop_assert!(q.cancel(ids[i]));
-            }
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        while let Some((_, v)) = q.pop() {
-            prop_assert!(!cancelled.contains(&v), "cancelled event delivered");
-            seen.insert(v);
-        }
-        prop_assert_eq!(seen.len(), times.len() - cancelled.len());
+        queue_matches_model(&ops);
     }
 
     #[test]
@@ -269,6 +260,103 @@ proptest! {
             prop_assert!(pool.used() <= total);
         }
     }
+}
+
+/// Replays `ops` on an [`EventQueue`] and on a reference model, a
+/// `BTreeMap<(time, seq), payload>`, and requires the same answer at every
+/// step: each delivered event, each `cancel` result, `peek_time` and
+/// `len`, then the same drain. An op is `(code, draw)`:
+///
+/// | code | operation |
+/// |---|---|
+/// | 0–7 | push at `now` plus 0–25 ns in steps of 5, so ties are common |
+/// | 8–10 | push 200–210 ns after `now`: with more than 32 keys pending, these take the overflow heap |
+/// | 11–12 | cancel a pending event |
+/// | 13 | cancel a delivered, cancelled or cleared event |
+/// | 14 | cancel an id another queue issued |
+/// | 15–17 | pop |
+/// | 18 | pop due by `now` plus 0–35 ns |
+/// | 19 | clear (one draw in 16), else nothing: the checks after every step read `peek_time` and `len` |
+///
+/// `now` is the time of the last delivery, as in a simulation.
+fn queue_matches_model(ops: &[(u8, u64)]) {
+    let mut q = EventQueue::new();
+    let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+    // Every id the queue issued, indexed by payload (its push order), with
+    // its model key while it is pending.
+    let mut issued: Vec<(EventId, Option<(SimTime, u64)>)> = Vec::new();
+    // This queue's slab never exceeds its push count, so another queue's
+    // slots past `ops.len()` are unknown here.
+    let mut other = EventQueue::new();
+    let unknown: Vec<EventId> = (0..2 * ops.len())
+        .map(|_| other.push(SimTime::ZERO, ()))
+        .skip(ops.len())
+        .collect();
+    let mut now = SimTime::ZERO;
+    let ns = SimDuration::from_nanos;
+    for &(code, draw) in ops {
+        match code {
+            0..=10 => {
+                let delay = if code <= 7 {
+                    ns(draw % 6 * 5)
+                } else {
+                    ns(200 + draw % 3 * 5)
+                };
+                let payload = issued.len() as u64;
+                let id = q.push(now + delay, payload);
+                issued.push((id, Some((now + delay, payload))));
+                model.insert((now + delay, payload), payload);
+            }
+            11..=13 => {
+                let pending = code <= 12;
+                let pool: Vec<usize> = (0..issued.len())
+                    .filter(|&i| issued[i].1.is_some() == pending)
+                    .collect();
+                if let Some(&i) = pool.get((draw % pool.len().max(1) as u64) as usize) {
+                    let (id, key) = issued[i];
+                    prop_assert_eq!(q.cancel(id), pending);
+                    if let Some(key) = key {
+                        model.remove(&key);
+                        issued[i].1 = None;
+                    }
+                }
+            }
+            14 => {
+                let id = unknown[(draw % unknown.len() as u64) as usize];
+                prop_assert!(!q.cancel(id), "an unknown id cancelled an event");
+            }
+            15..=18 => {
+                let deadline = if code == 18 {
+                    now + ns(draw % 8 * 5)
+                } else {
+                    SimTime::MAX
+                };
+                let expected = match model.first_key_value() {
+                    Some((&(t, _), _)) if t <= deadline => model.pop_first(),
+                    _ => None,
+                };
+                let got = q.pop_due(deadline);
+                prop_assert_eq!(got, expected.map(|((t, _), v)| (t, v)));
+                if let Some((t, v)) = got {
+                    issued[v as usize].1 = None;
+                    now = t;
+                }
+            }
+            _ => {
+                if draw % 16 == 0 {
+                    q.clear();
+                    model.clear();
+                    issued.iter_mut().for_each(|e| e.1 = None);
+                }
+            }
+        }
+        prop_assert_eq!(q.len(), model.len());
+        prop_assert_eq!(q.is_empty(), model.is_empty());
+        prop_assert_eq!(q.peek_time(), model.keys().next().map(|&(t, _)| t));
+    }
+    let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
+    let expected: Vec<(SimTime, u64)> = model.into_iter().map(|((t, _), v)| (t, v)).collect();
+    prop_assert_eq!(drained, expected);
 }
 
 /// One input of the side-task manager, delivered as the orchestrator
@@ -660,6 +748,58 @@ proptest! {
             (rate - ideal).abs() < 0.09,
             "rate {rate} far from the pipeline law {ideal} at mb={mb}"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `T_noSideTask` is one epoch times the epoch count: with no side
+    /// task every epoch of a full run is a time-shifted copy of the first,
+    /// so the two agree to the nanosecond for every model preset, 1–16
+    /// micro-batches, both schedules, 1–40 epochs, and the reference GPU,
+    /// a homogeneous fleet or a mixed one of hardware presets that fit.
+    #[test]
+    fn baseline_is_epochs_times_one_epoch(
+        model in 0usize..3,
+        micro_batches in 1usize..=16,
+        gpipe in any::<bool>(),
+        epochs in 1usize..=40,
+        fleet in 0u8..3,
+        picks in prop::collection::vec(any::<prop::sample::Index>(), 4),
+    ) {
+        let spec = [ModelSpec::nanogpt_1_2b(), ModelSpec::nanogpt_3_6b(), ModelSpec::nanogpt_6b()];
+        let mut cfg = PipelineConfig::paper_default(spec[model])
+            .with_micro_batches(micro_batches)
+            .with_epochs(epochs);
+        let fits = |s: usize| -> Vec<HardwareSpec> {
+            HardwareSpec::presets()
+                .into_iter()
+                .filter(|h| cfg.stage_memory(s) <= h.memory())
+                .collect()
+        };
+        let hardware: Vec<HardwareSpec> = match fleet {
+            0 => Vec::new(),
+            1 => {
+                let everywhere: Vec<HardwareSpec> = fits(0)
+                    .into_iter()
+                    .filter(|h| (1..cfg.stages).all(|s| cfg.stage_memory(s) <= h.memory()))
+                    .collect();
+                let h = &everywhere[picks[0].index(everywhere.len())];
+                vec![h.clone(); cfg.stages]
+            }
+            _ => (0..cfg.stages)
+                .map(|s| {
+                    let options = fits(s);
+                    options[picks[s].index(options.len())].clone()
+                })
+                .collect(),
+        };
+        if !hardware.is_empty() {
+            cfg = cfg.with_hardware(hardware);
+        }
+        let kind = if gpipe { ScheduleKind::GPipe } else { ScheduleKind::OneFOneB };
+        prop_assert_eq!(run_baseline_with(&cfg, kind), run_training(&cfg, kind).total_time);
     }
 }
 
